@@ -37,6 +37,18 @@ std::uint64_t parse_u64(const std::string& token, const char* what) {
   return v;
 }
 
+/// parse_u64 for a cluster id: a value above its 32-bit range is rejected,
+/// not truncated onto another cluster.
+ClusterId parse_cluster_id(const std::string& token, const char* what) {
+  const std::uint64_t v = parse_u64(token, what);
+  if (v > std::numeric_limits<ClusterId>::max())
+    throw InvalidInput(std::string(what) + ": '" + token +
+                       "' is out of range (max " +
+                       std::to_string(std::numeric_limits<ClusterId>::max()) +
+                       ")");
+  return static_cast<ClusterId>(v);
+}
+
 double parse_double(const std::string& token, const char* what) {
   char* end = nullptr;
   const double v = std::strtod(token.c_str(), &end);
@@ -826,8 +838,7 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
       grid_seen = true;
       cli.grid_arg = value_of(arg);
     } else if (key == "--root") {
-      cli.spec.root =
-          static_cast<ClusterId>(parse_u64(value_of(arg), "--root"));
+      cli.spec.root = parse_cluster_id(value_of(arg), "--root");
     } else if (key == "--backend" || key == "--mode") {
       // --mode is the legacy spelling: "predicted"/"measured" are
       // registered aliases of the "plogp"/"sim" backends, so both flags

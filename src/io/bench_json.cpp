@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <variant>
@@ -545,7 +546,12 @@ BenchReport bench_from_json(const std::string& text) {
       r.verb = std::string(
           collective::verb_name(collective::to_verb(as<std::string>(value, "verb"))));
     } else if (key == "root") {
-      r.root = static_cast<ClusterId>(as_u64(value, "root"));
+      const std::uint64_t root = as_u64(value, "root");
+      if (root > std::numeric_limits<ClusterId>::max())
+        throw InvalidInput("bench JSON: 'root' is out of range (max " +
+                           std::to_string(std::numeric_limits<ClusterId>::max()) +
+                           ")");
+      r.root = static_cast<ClusterId>(root);
     } else if (key == "seed") {
       r.seed = as_u64(value, "seed");
     } else if (key == "jitter") {

@@ -2,8 +2,10 @@
 
 #include <iomanip>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 #include "support/error.hpp"
 
@@ -54,10 +56,24 @@ class Lexer {
 
   std::uint64_t count(const char* what) {
     const double v = number(what);
-    if (v < 0 || v != static_cast<double>(static_cast<std::uint64_t>(v)))
+    // Range first: casting 2^64 or more to an integer is undefined.
+    if (!(v >= 0.0 && v < 0x1p64) ||
+        v != static_cast<double>(static_cast<std::uint64_t>(v)))
       throw InvalidInput(std::string(what) +
                          " must be a non-negative integer");
     return static_cast<std::uint64_t>(v);
+  }
+
+  /// count() for a field held in 32 bits (cluster counts and sizes): a
+  /// larger value is rejected, not truncated.
+  std::uint32_t count32(const char* what) {
+    const std::uint64_t v = count(what);
+    constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
+    if (v > kMax)
+      throw InvalidInput(std::string(what) + " " + std::to_string(v) +
+                         " is out of range (max " + std::to_string(kMax) +
+                         ")");
+    return static_cast<std::uint32_t>(v);
   }
 
  private:
@@ -151,20 +167,20 @@ topology::Grid read_grid(std::istream& is) {
   lex.expect("gridcast-grid");
   lex.expect("v1");
   lex.expect("clusters");
-  const auto n = lex.count("cluster count");
+  const auto n = lex.count32("cluster count");
   if (n == 0) throw InvalidInput("grid needs at least one cluster");
 
+  // Not reserved up front: n is untrusted, and every cluster it promises
+  // must still be read.
   std::vector<topology::Cluster> clusters;
-  clusters.reserve(n);
   for (std::uint64_t c = 0; c < n; ++c) {
     lex.expect("cluster");
     const std::string name = lex.word("cluster name");
-    const auto size = lex.count("cluster size");
+    const auto size = lex.count32("cluster size");
     if (size == 0) throw InvalidInput("cluster size must be positive");
     const auto algorithm = algorithm_from_name(lex.word("intra algorithm"));
     plogp::Params intra = read_params(lex);
-    clusters.emplace_back(name, static_cast<std::uint32_t>(size),
-                          std::move(intra), algorithm);
+    clusters.emplace_back(name, size, std::move(intra), algorithm);
   }
 
   topology::Grid grid(std::move(clusters));

@@ -2,8 +2,10 @@
 
 #include <iomanip>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 #include "support/error.hpp"
 
@@ -54,7 +56,9 @@ class Lexer {
 
   std::size_t count(const char* what) {
     const double v = number(what);
-    if (v < 0 || v != static_cast<double>(static_cast<std::size_t>(v)))
+    // Range first: casting 2^64 or more to an integer is undefined.
+    if (!(v >= 0.0 && v < 0x1p64) ||
+        v != static_cast<double>(static_cast<std::size_t>(v)))
       throw InvalidInput(std::string(what) + " must be a non-negative integer");
     return static_cast<std::size_t>(v);
   }
@@ -90,19 +94,29 @@ sched::Instance read_instance(std::istream& is) {
   lex.expect("clusters");
   const std::size_t n = lex.count("cluster count");
   if (n == 0) throw InvalidInput("instance needs at least one cluster");
+  constexpr std::size_t kMaxClusters = std::numeric_limits<ClusterId>::max();
+  if (n > kMaxClusters)
+    throw InvalidInput("cluster count " + std::to_string(n) +
+                       " is out of range (max " +
+                       std::to_string(kMaxClusters) + ")");
   lex.expect("root");
   const std::size_t root = lex.count("root");
   if (root >= n) throw InvalidInput("root out of range");
 
+  // Values are appended as they are read, never sized from the untrusted
+  // count: a short file promising a huge n fails at its end, not in an
+  // allocation of n or n² values.
   lex.expect("T");
-  std::vector<Time> T(n);
-  for (std::size_t c = 0; c < n; ++c) T[c] = lex.number("T value");
+  std::vector<Time> T;
+  for (std::size_t c = 0; c < n; ++c) T.push_back(lex.number("T value"));
 
   const auto read_matrix = [&](const char* name) {
     lex.expect(name);
+    std::vector<Time> cells;
+    for (std::size_t k = 0; k < n * n; ++k) cells.push_back(lex.number(name));
     SquareMatrix<Time> m(n, 0.0);
     for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j) m(i, j) = lex.number(name);
+      for (std::size_t j = 0; j < n; ++j) m(i, j) = cells[i * n + j];
     return m;
   };
   SquareMatrix<Time> g = read_matrix("g");

@@ -28,6 +28,33 @@ namespace gridcast::sched {
 /// the alternative lookahead functions Bhat "suggests" and the paper
 /// recounts in Section 4.4: the average cost from P_j to the rest of B,
 /// and the average A->B cost if P_j were moved to A.
+///
+/// `ecef_order` keeps every F_j current as clusters move from B to A
+/// instead of evaluating the definitions afresh each round (n clusters,
+/// one move per round; each round also pays the O(|A|·|B|) selection
+/// walk, O(n³) per order):
+///   * kMinEdge, kMinEdgePlusT, kMaxEdgePlusT keep each j's extremum and
+///     the first k attaining it, and rescan B (O(n)) only for the j whose
+///     k just left B: O(n²) amortised per order (O(n³) when one cluster
+///     attains every j's extremum), where rescanning every j each round
+///     costs O(n³).
+///   * kAvgEdge refolds each F_j over B, ascending in k, every round:
+///     O(n³) per order.
+///   * kAvgAfterMove keeps each k's column sum Σ_{i in A} (g_ik + L_ik),
+///     updated in O(n) per move, and folds g_jk + L_jk plus that sum over
+///     B, ascending in k: O(n³) per order, where summing the definition's
+///     A × B terms for every j each round costs O(n⁴).
+///
+/// Min and max are exact, so a kept extremum is the value a full rescan
+/// would find, and kAvgEdge adds the definition's terms in the
+/// definition's order.  Only kAvgAfterMove's sum is reassociated: its A
+/// terms are pre-summed per k in move order instead of added one by one
+/// per (j, k).  While A is the root alone the two agree term for term;
+/// later rounds can differ in the last bits, which could flip an exact
+/// tie.  tests/sched/test_lookahead_variants.cpp checks every variant
+/// against the from-scratch definitions on Table 2 draws (2-64 clusters),
+/// asymmetric draws and every testbed instance, and finds no order
+/// change.
 enum class Lookahead : std::uint8_t {
   kNone,         ///< plain ECEF
   kMinEdge,      ///< ECEF-LA:  F_j = min_k (g_jk + L_jk)
@@ -62,6 +89,10 @@ enum class BottomUpPolicy : std::uint8_t {
 /// Fastest Edge First: repeatedly take the lightest edge between A and B.
 /// Receivers join A immediately — sender readiness is ignored, which is
 /// exactly the flaw ECEF fixes.
+///
+/// Like `ecef_order` and `bottomup_order`, each round walks only the
+/// current (A, B) pairs, in ascending (sender, receiver) order, so ties
+/// go to the first pair.
 [[nodiscard]] SendOrder fef_order(const Instance& inst,
                                   FefWeight weight = FefWeight::kLatencyOnly);
 

@@ -616,6 +616,21 @@ TEST(RaceCliErrors, OneLineDiagnosticsAndNonZeroExit) {
   EXPECT_NE(diag.find("--root"), std::string::npos);
 }
 
+TEST(RaceCliErrors, RootAboveTheClusterIdRangeIsRejectedNotTruncated) {
+  // Truncated to 32 bits, 2^32 + 1 would run root 1 and write --root=1's
+  // report byte for byte.
+  EXPECT_EQ(parse_race_cli({"--root=4294967295"}).spec.root, 4294967295u);
+  for (const std::string big : {"4294967296", "4294967297"}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(cli_main({"--sched=FlatTree", "--sizes=1M", "--root=" + big},
+                       out, err),
+              2);
+    EXPECT_EQ(err.str(), "gridcast_race: --root: '" + big +
+                             "' is out of range (max 4294967295)\n");
+    EXPECT_EQ(out.str(), "");
+  }
+}
+
 TEST(RaceCliDriver, RaceRunMergeAndCheckEndToEnd) {
   const std::string dir = testing::TempDir();
   const auto path = [&](const std::string& f) { return dir + "/" + f; };

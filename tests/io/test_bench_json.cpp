@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <sstream>
+#include <string>
 
 #include "support/error.hpp"
 
@@ -111,6 +113,28 @@ TEST(BenchJson, StrictParserRejectsMalformedInput) {
                    "{\"shards\": 2, \"shard\": 2, \"sizes\": [], "
                    "\"series\": []}"),
                InvalidInput);
+}
+
+TEST(BenchJson, RootAboveTheClusterIdRangeIsRejectedNotTruncated) {
+  const auto with_root = [](const std::string& root) {
+    std::string text = bench_to_json(small_report());
+    const std::string key = "\"root\": 0";
+    text.replace(text.find(key), key.size(), "\"root\": " + root);
+    std::istringstream is(text);
+    return read_bench_json(is);
+  };
+  EXPECT_EQ(with_root("4294967295").root, 4294967295u);
+  for (const std::string big : {"4294967296", "4294967297"}) {
+    try {
+      (void)with_root(big);
+      ADD_FAILURE() << "root " << big << " was accepted";
+    } catch (const InvalidInput& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'root' is out of range"), std::string::npos)
+          << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(BenchJson, VerbKeySerialisesOnlyWhenNotBcast) {

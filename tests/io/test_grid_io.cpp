@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sched/instance.hpp"
 #include "topology/generator.hpp"
 #include "topology/grid5000.hpp"
@@ -102,6 +104,45 @@ TEST(GridIo, ZeroSizeClusterRejected) {
   const auto pos = text.find(" 31 ");
   text.replace(pos, 4, " 0 ");
   EXPECT_THROW((void)grid_from_string(text), InvalidInput);
+}
+
+/// The one-line InvalidInput message `text` is rejected with.
+std::string rejection(const std::string& text) {
+  try {
+    (void)grid_from_string(text);
+  } catch (const InvalidInput& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(GridIo, ClusterSizeAbove32BitsRejectedNotTruncated) {
+  // Truncated to 32 bits, 2^32 would reach the Cluster assertion as size
+  // 0 (an internal error) and 2^32 + 1 would parse as a one-rank cluster.
+  const std::string text = grid_to_string(topology::grid5000_testbed());
+  const auto pos = text.find(" 31 ");
+  for (const std::string big : {"4294967296", "4294967297"}) {
+    std::string bad = text;
+    bad.replace(pos, 4, " " + big + " ");
+    const std::string diag = rejection(bad);
+    EXPECT_EQ(diag, "cluster size " + big +
+                        " is out of range (max 4294967295)");
+  }
+  std::string widest = text;
+  widest.replace(pos, 4, " 4294967295 ");
+  EXPECT_EQ(grid_from_string(widest).cluster(0).size(), 4294967295u);
+}
+
+TEST(GridIo, HugeClusterCountIsAnInputErrorNotAnAllocation) {
+  // The count is untrusted: it must not size an allocation before the
+  // clusters it promises have been read.
+  EXPECT_EQ(rejection("gridcast-grid v1 clusters 4294967296"),
+            "cluster count 4294967296 is out of range (max 4294967295)");
+  EXPECT_EQ(rejection("gridcast-grid v1 clusters 4294967295"),
+            "unexpected end of input, expected cluster");
+  // At or above 2^64 the count is not an integer a cast can hold.
+  EXPECT_EQ(rejection("gridcast-grid v1 clusters 1e30"),
+            "cluster count must be a non-negative integer");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "exp/param_ranges.hpp"
 #include "support/rng.hpp"
 
@@ -62,6 +64,33 @@ TEST(InstanceIo, RootOutOfRangeRejected) {
                    "gridcast-instance v1 clusters 2 root 5 T 0 0 "
                    "g 0 0 0 0 L 0 0 0 0"),
                InvalidInput);
+}
+
+TEST(InstanceIo, HugeClusterCountIsAnInputErrorNotAnAllocation) {
+  // The count is untrusted: above the 32-bit cluster ids it is rejected,
+  // and below them it sizes nothing before its values have been read.
+  const auto rejection = [](const std::string& text) -> std::string {
+    try {
+      (void)instance_from_string(text);
+    } catch (const InvalidInput& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(rejection("gridcast-instance v1 clusters 4294967296 root 0"),
+            "cluster count 4294967296 is out of range (max 4294967295)");
+  EXPECT_EQ(rejection("gridcast-instance v1 clusters 4294967295 root 7 T 0"),
+            "unexpected end of input, expected T value");
+  // Every T value present, one matrix cell: the file ends before any
+  // n x n storage exists.
+  std::string t_values;
+  for (int c = 0; c < 100000; ++c) t_values += " 0";
+  EXPECT_EQ(rejection("gridcast-instance v1 clusters 100000 root 0 T" +
+                      t_values + " g 0"),
+            "unexpected end of input, expected g");
+  // At or above 2^64 the count is not an integer a cast can hold.
+  EXPECT_EQ(rejection("gridcast-instance v1 clusters 1e30 root 0"),
+            "cluster count must be a non-negative integer");
 }
 
 TEST(InstanceIo, ZeroClustersRejected) {
