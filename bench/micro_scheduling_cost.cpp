@@ -51,7 +51,7 @@ BENCHMARK_CAPTURE(BM_Heuristic, ECEF_LAT, "ECEF-LAT")
     ->Arg(5)->Arg(10)->Arg(25)->Arg(50);
 BENCHMARK_CAPTURE(BM_Heuristic, BottomUp, "BottomUp")
     ->Arg(5)->Arg(10)->Arg(25)->Arg(50);
-// The registry-wide selector: one selection walks (and prunes) every
+// The registry-wide selector: one selection walks every
 // non-composite entry, so this row is the Section 7 complexity concern
 // for the composite case.
 BENCHMARK_CAPTURE(BM_Heuristic, Auto, "auto")

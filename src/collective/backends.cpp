@@ -4,7 +4,7 @@
 #include "collective/bcast.hpp"
 #include "collective/scatter.hpp"
 #include "plogp/hierarchical_predict.hpp"
-#include "sched/evaluate.hpp"
+#include "sched/order_memo.hpp"
 #include "support/error.hpp"
 
 namespace gridcast::collective {
@@ -81,8 +81,7 @@ CollectiveResult PlogpBackend::bcast(const sched::SchedulerEntry& sched,
                                      std::uint64_t /*seed*/) const {
   GRIDCAST_ASSERT(sched.can_schedule(info),
                   "scheduler cannot handle this instance");
-  sched::Schedule s = sched::evaluate_order(
-      info.instance(), sched.order(info), info.completion());
+  sched::Schedule s = sched::schedule_of(sched, info);
   CollectiveResult r;
   r.messages = s.transfers.size();
   r.wan_messages = s.transfers.size();  // every modelled transfer is WAN

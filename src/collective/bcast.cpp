@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 
+#include "sched/order_memo.hpp"
 #include "support/error.hpp"
 
 namespace gridcast::collective {
@@ -88,15 +89,16 @@ BcastResult run_chain_bcast(sim::Network& net,
   auto st = make_state(net, ranks.size());
   st->delivered[0] = net.engine().now();
 
-  // Forward handler declared recursively via a shared function object.
-  auto forward = std::make_shared<std::function<void(std::size_t, Time)>>();
-  *forward = [&net, &ranks, m, st, forward](std::size_t i, Time t) {
+  // The handler lives on this frame: collect() drains the engine before
+  // it returns, so every callback pointing at it runs while it exists.
+  std::function<void(std::size_t, Time)> forward;
+  forward = [&net, &ranks, m, &st, &forward](std::size_t i, Time t) {
     st->delivered[i] = t;
     if (i + 1 < ranks.size())
       net.send(ranks[i], ranks[i + 1], m,
-               [forward, i](Time tt) { (*forward)(i + 1, tt); });
+               [&forward, i](Time tt) { forward(i + 1, tt); });
   };
-  (*forward)(0, net.engine().now());
+  forward(0, net.engine().now());
   return collect(net, st);
 }
 
@@ -113,23 +115,24 @@ BcastResult run_segmented_chain_bcast(sim::Network& net,
 
   auto st = make_state(net, ranks.size());
   st->delivered[0] = net.engine().now();
-  auto remaining =
-      std::make_shared<std::vector<std::uint64_t>>(ranks.size(), segments);
-  (*remaining)[0] = 0;
+  std::vector<std::uint64_t> remaining(ranks.size(), segments);
+  remaining[0] = 0;
 
-  auto forward = std::make_shared<std::function<void(std::size_t, Bytes, Time)>>();
-  *forward = [&net, &ranks, st, remaining, forward](std::size_t i, Bytes sz,
-                                                    Time t) {
-    if (--(*remaining)[i] == 0) st->delivered[i] = t;
+  // On this frame, like run_chain_bcast's handler: collect() drains the
+  // engine before it returns.
+  std::function<void(std::size_t, Bytes, Time)> forward;
+  forward = [&net, &ranks, &st, &remaining, &forward](std::size_t i, Bytes sz,
+                                                      Time t) {
+    if (--remaining[i] == 0) st->delivered[i] = t;
     if (i + 1 < ranks.size())
       net.send(ranks[i], ranks[i + 1], sz,
-               [forward, i, sz](Time tt) { (*forward)(i + 1, sz, tt); });
+               [&forward, i, sz](Time tt) { forward(i + 1, sz, tt); });
   };
   // Root streams all segments to the next hop; its NIC pipelines them.
   for (std::uint64_t s = 0; s < segments; ++s) {
     const Bytes sz = (s == segments - 1 && tail > 0) ? tail : seg;
     net.send(ranks[0], ranks[1], sz,
-             [forward, sz](Time tt) { (*forward)(1, sz, tt); });
+             [&forward, sz](Time tt) { forward(1, sz, tt); });
   }
   return collect(net, st);
 }
@@ -186,17 +189,18 @@ BcastResult run_hierarchical_bcast(sim::Network& net, ClusterId root_cluster,
 
   // When cluster c's coordinator holds the payload: issue its relays and
   // its local tree; the NIC serializes in issue order, so `intra_order`
-  // reduces to which group of sends is issued first.
-  auto on_receive = std::make_shared<std::function<void(ClusterId, Time)>>();
-  *on_receive = [&net, &grid, st, &outgoing, coord, on_receive, m,
-                 intra_order](ClusterId c, Time t) {
+  // reduces to which group of sends is issued first.  The handler lives on
+  // this frame: collect() drains the engine before it returns.
+  std::function<void(ClusterId, Time)> on_receive;
+  on_receive = [&net, &grid, &st, &outgoing, coord, &on_receive, m,
+                intra_order](ClusterId c, Time t) {
     const NodeId me = coord(c);
     st->delivered[me] = t;
 
     const auto relay = [&] {
       for (const ClusterId dst : outgoing[c])
         net.send(me, coord(dst), m,
-                 [on_receive, dst](Time tt) { (*on_receive)(dst, tt); });
+                 [&on_receive, dst](Time tt) { on_receive(dst, tt); });
     };
     const auto local_tree = [&] {
       const std::uint32_t size = grid.cluster(c).size();
@@ -217,7 +221,7 @@ BcastResult run_hierarchical_bcast(sim::Network& net, ClusterId root_cluster,
     }
   };
 
-  (*on_receive)(root_cluster, net.engine().now());
+  on_receive(root_cluster, net.engine().now());
   return collect(net, st);
 }
 
@@ -239,8 +243,8 @@ BcastResult run_hierarchical_bcast(sim::Network& net,
   GRIDCAST_ASSERT(sched.can_schedule(info),
                   "scheduler cannot handle this instance");
   return run_hierarchical_bcast(net, info.instance().root(),
-                                sched.order(info), info.message_size(),
-                                intra_order);
+                                sched::order_of(sched, info),
+                                info.message_size(), intra_order);
 }
 
 BcastResult run_grid_unaware_binomial(sim::Network& net,

@@ -86,20 +86,19 @@ BcastResult run_multilevel_bcast(sim::Network& net, ClusterId root_cluster,
   };
 
   // Level 1: a gateway flat-trees to its site's other coordinators, then
-  // broadcasts locally; plain coordinators go straight to level 2.
-  const auto on_coordinator =
-      std::make_shared<std::function<void(ClusterId, Time)>>();
-  *on_coordinator = [&net, st, coord, &clusters_of_site, &sites,
-                     gateway_of_site, local_tree, on_coordinator,
-                     m](ClusterId c, Time t) {
+  // broadcasts locally; plain coordinators go straight to level 2.  The
+  // handler lives on this frame: the engine drains below, before return.
+  std::function<void(ClusterId, Time)> on_coordinator;
+  on_coordinator = [&net, &st, coord, &clusters_of_site, &sites,
+                    &gateway_of_site, &local_tree, &on_coordinator,
+                    m](ClusterId c, Time t) {
     const NodeId me = coord(c);
     st->delivered[me] = t;
     if (gateway_of_site[sites[c]] == c) {
       for (const ClusterId d : clusters_of_site[sites[c]]) {
         if (d == c) continue;
-        net.send(me, coord(d), m, [on_coordinator, d](Time tt) {
-          (*on_coordinator)(d, tt);
-        });
+        net.send(me, coord(d), m,
+                 [&on_coordinator, d](Time tt) { on_coordinator(d, tt); });
       }
     }
     local_tree(c);
@@ -113,10 +112,10 @@ BcastResult run_multilevel_bcast(sim::Network& net, ClusterId root_cluster,
       continue;
     const ClusterId gw = gateway_of_site[s];
     net.send(root_rank, coord(gw), m,
-             [on_coordinator, gw](Time t) { (*on_coordinator)(gw, t); });
+             [&on_coordinator, gw](Time t) { on_coordinator(gw, t); });
   }
   // The root is its own site's gateway: serve its site and its cluster.
-  (*on_coordinator)(root_cluster, net.engine().now());
+  on_coordinator(root_cluster, net.engine().now());
 
   net.engine().run();
   BcastResult r;

@@ -16,6 +16,7 @@
 #include "collective/backend.hpp"
 #include "exp/realise.hpp"
 #include "io/grid_io.hpp"
+#include "sched/order_memo.hpp"
 #include "support/contracts.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -147,7 +148,6 @@ io::BenchReport run_race_sweep(InstanceCache& cache,
 
   sched::HeuristicOptions opts;
   opts.completion = spec.completion;
-  opts.prune = spec.prune;
   const std::vector<sched::Scheduler> comps =
       resolve_competitors(spec.sched_names, opts);
   const std::vector<Bytes> sizes =
@@ -425,7 +425,6 @@ io::BenchReport run_race_grid(const RaceGridSpec& spec, ThreadPool& pool) {
 
   sched::HeuristicOptions opts;
   opts.completion = spec.completion;
-  opts.prune = spec.prune;
   const std::vector<sched::Scheduler> comps =
       resolve_competitors(spec.sched_names, opts);
 
@@ -499,6 +498,9 @@ io::BenchReport run_race_grid(const RaceGridSpec& spec, ThreadPool& pool) {
       n_points * n_blocks, [&](std::size_t lo, std::size_t hi) {
         std::vector<Time> mk(n_comps);
         sched::Instance drawn;  // storage reused across iterations
+        // One draw's orders: every competitor, and every candidate or
+        // delegate a composite asks for, is derived once per draw.
+        sched::OrderMemo memo;
         for (std::size_t cell = lo; cell < hi; ++cell) {
           if (!spec.shard.owns(cell)) continue;
           const std::size_t p = cell / n_blocks;
@@ -536,11 +538,14 @@ io::BenchReport run_race_grid(const RaceGridSpec& spec, ThreadPool& pool) {
               inst = &*derived;
             }
 
+            // Every competitor was resolved with `opts`, so one info (and
+            // one O(n²) lower-bound walk) serves the whole field.
+            memo.clear();
+            const sched::SchedulerRuntimeInfo info(
+                *inst, spec.realise ? MiB(1) : Bytes{0}, opts.completion,
+                &memo);
             Time best = std::numeric_limits<Time>::infinity();
             for (std::size_t s = 0; s < n_comps; ++s) {
-              const sched::SchedulerRuntimeInfo info(
-                  *inst, spec.realise ? MiB(1) : Bytes{0},
-                  comps[s].options().completion);
               // Same contract as exp::run_race: a race cannot skip a
               // refusing entry per iteration without skewing the hit-rate
               // denominator, so a refusal is a designed error.
@@ -796,8 +801,6 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
       cli.spec.wall = true;
     } else if (arg == "--sched-cost") {
       cli.spec.sched_cost = true;
-    } else if (arg == "--no-prune") {
-      cli.spec.prune = false;
     } else if (key == "--check") {
       cli.action = RaceCli::Action::kCheck;
       cli.check_path = value_of(arg);
@@ -932,7 +935,6 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
     cli.race.backend = cli.spec.backend;
     cli.race.completion = cli.spec.completion;
     cli.race.jitter = cli.spec.jitter;
-    cli.race.prune = cli.spec.prune;
     cli.race.shard = cli.spec.shard;
     if (!positionals.empty())
       throw InvalidInput("unexpected argument '" + positionals.front() +
@@ -1126,14 +1128,14 @@ std::string race_cli_usage() {
       "                [--sizes=default|256K,1M,...] [--completion=eager|"
       "after-last-send]\n"
       "                [--jitter=F] [--seed=N] [--threads=N] [--wall]\n"
-      "                [--sched-cost] [--no-prune]\n"
+      "                [--sched-cost]\n"
       "                [--shards=N --shard=k | --shard=k/N] [--out=FILE]\n"
       "  gridcast_race --race [--sched=a,b,c] [--backend=plogp|sim]\n"
       "                [--clusters=2-10|5-50:5|3,7,9] [--iters=N] "
       "[--realise]\n"
       "                [--root=N] [--completion=...] [--jitter=F] "
       "[--seed=N]\n"
-      "                [--threads=N] [--no-prune] [--shards=N --shard=k] "
+      "                [--threads=N] [--shards=N --shard=k] "
       "[--out=FILE]\n"
       "  gridcast_race --merge out.json shard0.json shard1.json ...\n"
       "  gridcast_race --check=current.json --baseline=baseline.json\n"
@@ -1145,9 +1147,7 @@ std::string race_cli_usage() {
       " the two-level scatter/alltoall instead of the broadcast: sizes are\n"
       " then per-rank (scatter) / per-rank-pair (alltoall) blocks.\n"
       " --sched-cost also times each competitor's per-selection cost\n"
-      " (micro_scheduling_cost_s; unsharded sweeps only).  --no-prune\n"
-      " disables lower-bound pruning in the 'auto' selector — a pure\n"
-      " optimisation, so reports are byte-identical either way.)\n";
+      " (micro_scheduling_cost_s; unsharded sweeps only).)\n";
 }
 
 }  // namespace gridcast::exp

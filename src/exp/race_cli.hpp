@@ -62,10 +62,6 @@ struct RaceSpec {
   /// budget that keeps composite selectors ("auto") honest.  Unsharded
   /// runs only, like `wall`.
   bool sched_cost = false;
-  /// Lower-bound pruning in composite selectors ("auto"); `--no-prune`
-  /// clears it.  A pure optimisation: winners and reports are
-  /// byte-identical either way (tests and CI pin exactly that).
-  bool prune = true;
 };
 
 /// Resolve registry names into Scheduler handles; an unknown name throws
@@ -128,8 +124,6 @@ struct RaceGridSpec {
   ParamRanges ranges = ParamRanges::paper();
   /// Relative tie tolerance for hit counting (montecarlo.hpp semantics).
   double hit_epsilon = 1e-9;
-  /// Lower-bound pruning in composite selectors, as in RaceSpec::prune.
-  bool prune = true;
   ShardSpec shard = {};
 };
 

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "support/contracts.hpp"
+#include "sched/order_memo.hpp"
 #include "support/error.hpp"
 
 namespace gridcast::sched {
@@ -33,41 +33,24 @@ SendOrder AutoScheduler::order(const SchedulerRuntimeInfo& info) const {
 }
 
 std::string AutoScheduler::describe_options() const {
-  return std::string("prune=") + (opts_.prune ? "on" : "off") +
-         " candidates=" + std::to_string(candidates_.size());
+  return "candidates=" + std::to_string(candidates_.size());
 }
 
 AutoScheduler::Proposal AutoScheduler::propose(
     const SchedulerRuntimeInfo& info) const {
   Proposal p;
   const SchedulerEntry* best = nullptr;
-  SendOrder best_order;
-  Time best_makespan = 0.0;
+  Schedule best_schedule;
   for (const auto& cand : candidates_) {
     if (!cand->can_schedule(info)) {
       ++p.gated;
       continue;
     }
-    if (opts_.prune && best != nullptr &&
-        cand->lower_bound(info) >= best_makespan) {
-      // A sound bound at or above the incumbent cannot yield a *strictly*
-      // smaller makespan, and only strict-less dethrones the incumbent —
-      // so this skip can never change the winner.
-      ++p.pruned;
-      continue;
-    }
-    SendOrder order = cand->order(info);
-    const Time makespan =
-        evaluate_order(info.instance(), order, info.completion()).makespan;
+    Schedule schedule = schedule_of(*cand, info);
     ++p.evaluated;
-    GRIDCAST_DCHECK(
-        cand->lower_bound(info) <= makespan,
-        "scheduler lower_bound() exceeds its evaluated makespan — the "
-        "bound is unsound and pruning on it would be unsafe");
-    if (best == nullptr || makespan < best_makespan) {
+    if (best == nullptr || schedule.makespan < best_schedule.makespan) {
       best = cand.get();
-      best_order = std::move(order);
-      best_makespan = makespan;
+      best_schedule = std::move(schedule);
     }
   }
   if (best == nullptr)
@@ -84,8 +67,10 @@ AutoScheduler::Proposal AutoScheduler::propose(
         }() +
         ")");
   p.winner = best->name();
-  p.order = std::move(best_order);
-  p.makespan = best_makespan;
+  p.order.reserve(best_schedule.transfers.size());
+  for (const Transfer& t : best_schedule.transfers)
+    p.order.push_back({t.sender, t.receiver});
+  p.makespan = best_schedule.makespan;
   return p;
 }
 

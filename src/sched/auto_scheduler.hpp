@@ -27,7 +27,10 @@ class AutoScheduler final : public SchedulerEntry {
     SendOrder order;          ///< the winner's send order
     Time makespan = 0.0;      ///< the winner's evaluated makespan
     std::size_t evaluated = 0;  ///< candidates scored through the model
-    std::size_t pruned = 0;     ///< skipped: bound cannot beat incumbent
+    /// Always 0: every accepting candidate is evaluated.  Kept because
+    /// perfbench's race replay reports it as `sched.auto.pruned`; drop
+    /// the two together.
+    std::size_t pruned = 0;
     std::size_t gated = 0;      ///< skipped: can_schedule refused
   };
 
@@ -55,21 +58,17 @@ class AutoScheduler final : public SchedulerEntry {
   [[nodiscard]] SendOrder order(
       const SchedulerRuntimeInfo& info) const override;
 
-  /// E.g. "prune=on candidates=11" — deterministic, so the serve layer's
-  /// scheduler-set revision folds it.
+  /// E.g. "candidates=11" — deterministic, so the serve layer's
+  /// scheduler-set revision and order memos fold it.
   [[nodiscard]] std::string describe_options() const override;
 
   /// Full selection: walk the candidates in registration order, skip
-  /// `can_schedule` refusers, evaluate the rest under the analytic model
-  /// (`evaluate_order` with this entry's completion model) and keep the
+  /// `can_schedule` refusers, score the rest under the analytic model
+  /// (`schedule_of`: `evaluate_order` under the info's completion model,
+  /// read through the info's order memo when it carries one) and keep the
   /// strict-less winner — ties keep the earlier candidate, so selection
-  /// is deterministic and pinned.  With `options().prune`, a candidate
-  /// whose `lower_bound(info)` cannot beat the incumbent is skipped
-  /// unevaluated; because a sound bound never exceeds the evaluated
-  /// makespan, pruning can only skip candidates that could not have won —
-  /// winners (and therefore reports) are byte-identical with pruning on
-  /// or off.  An unsound candidate bound trips a GRIDCAST_DCHECK when
-  /// evaluated.  Throws InvalidInput when every candidate refuses.
+  /// is deterministic and pinned.  Throws InvalidInput when every
+  /// candidate refuses.
   [[nodiscard]] Proposal propose(const SchedulerRuntimeInfo& info) const;
 
   /// Candidate registry names, in registration order (tests pin the

@@ -1,5 +1,7 @@
 #include "sched/mixed.hpp"
 
+#include "sched/order_memo.hpp"
+
 namespace gridcast::sched {
 
 MixedStrategy::MixedStrategy(std::size_t threshold, HeuristicOptions opts,
@@ -11,7 +13,7 @@ MixedStrategy::MixedStrategy(std::size_t threshold, HeuristicOptions opts,
       large_(registry().make(large_name, opts)) {}
 
 SendOrder MixedStrategy::order(const SchedulerRuntimeInfo& info) const {
-  return delegate(info.clusters()).order(info);
+  return order_of(delegate(info.clusters()), info);
 }
 
 std::string MixedStrategy::describe_options() const {

@@ -1,16 +1,20 @@
 #include "sched/scheduler_entry.hpp"
 
+#include "sched/order_memo.hpp"
+
 namespace gridcast::sched {
 
 SchedulerRuntimeInfo::SchedulerRuntimeInfo(const Instance& inst,
                                            Bytes message_size,
-                                           CompletionModel completion)
+                                           CompletionModel completion,
+                                           OrderMemo* memo)
     : inst_(&inst),
       clusters_(inst.clusters()),
       message_size_(message_size),
       completion_(completion),
       max_internal_(inst.max_T()),
-      lower_bound_(inst.lower_bound()) {}
+      lower_bound_(inst.lower_bound()),
+      memo_(memo) {}
 
 bool SchedulerEntry::can_schedule(const SchedulerRuntimeInfo& info) const {
   return info.clusters() >= 2;
@@ -25,8 +29,7 @@ SendOrder SchedulerEntry::order(const Instance& inst) const {
 }
 
 Schedule SchedulerEntry::run(const Instance& inst) const {
-  const SchedulerRuntimeInfo info(inst, 0, opts_.completion);
-  return evaluate_order(inst, order(info), info.completion());
+  return schedule_of(*this, SchedulerRuntimeInfo(inst, 0, opts_.completion));
 }
 
 Time SchedulerEntry::makespan(const Instance& inst) const {

@@ -26,24 +26,27 @@ struct HeuristicOptions {
   BottomUpPolicy bottomup = BottomUpPolicy::kReadyTimeAware;
   /// How schedules are scored (selection is unaffected; see evaluate.hpp).
   CompletionModel completion = CompletionModel::kEager;
-  /// Lower-bound pruning during composite selection ("auto"): a pure
-  /// optimisation — winners and reports are identical either way — kept
-  /// as a knob so tests (and `--no-prune`) can pin exactly that.
-  bool prune = true;
 };
+
+class OrderMemo;
 
 /// Per-instance runtime context threaded through selection, so heuristics
 /// and their callers stop re-deriving it (nvfuser's SchedulerRuntimeInfo
 /// pattern).  Carries the data the Instance alone cannot answer — the
 /// message size the gap matrix was derived for, the completion model the
-/// caller scores with — plus cached instance aggregates.
+/// caller scores with — plus cached instance aggregates and, optionally,
+/// the caller's memo of the orders already derived for this instance
+/// (order_memo.hpp).
 class SchedulerRuntimeInfo {
  public:
   /// Build from an instance; `message_size == 0` means "unknown" (the
   /// instance was constructed from explicit matrices, not from a grid).
+  /// `memo`, when given, must outlive the info and serve only infos for
+  /// this instance and completion model.
   explicit SchedulerRuntimeInfo(
       const Instance& inst, Bytes message_size = 0,
-      CompletionModel completion = CompletionModel::kEager);
+      CompletionModel completion = CompletionModel::kEager,
+      OrderMemo* memo = nullptr);
 
   [[nodiscard]] const Instance& instance() const noexcept { return *inst_; }
   [[nodiscard]] std::size_t clusters() const noexcept { return clusters_; }
@@ -55,6 +58,9 @@ class SchedulerRuntimeInfo {
   [[nodiscard]] Time max_internal() const noexcept { return max_internal_; }
   /// Cached `Instance::lower_bound()`.
   [[nodiscard]] Time lower_bound() const noexcept { return lower_bound_; }
+  /// The caller's order memo, or null (order_of / schedule_of then call
+  /// the entry directly).
+  [[nodiscard]] OrderMemo* memo() const noexcept { return memo_; }
 
  private:
   const Instance* inst_;
@@ -63,6 +69,7 @@ class SchedulerRuntimeInfo {
   CompletionModel completion_;
   Time max_internal_;
   Time lower_bound_;
+  OrderMemo* memo_;
 };
 
 /// Virtual base class for scheduling heuristics.  Implementations derive
@@ -79,7 +86,10 @@ class SchedulerEntry {
   /// Display name as used in the paper's figures ("ECEF-LAT", ...).
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-  /// Select the send order for the instance described by `info`.
+  /// Select the send order for the instance described by `info`.  Callers
+  /// holding an info go through `order_of(entry, info)` (order_memo.hpp),
+  /// which reads the info's memo first; a composite asks its candidates
+  /// or delegates the same way.
   [[nodiscard]] virtual SendOrder order(
       const SchedulerRuntimeInfo& info) const = 0;
 
@@ -101,19 +111,6 @@ class SchedulerEntry {
   /// "auto").  Composite selectors exclude composites from their
   /// candidate set — "auto" must never recurse into "Mixed" or itself.
   [[nodiscard]] virtual bool is_composite() const noexcept { return false; }
-
-  /// A sound lower bound on the makespan of any schedule this entry can
-  /// produce for `info`'s instance: `lower_bound(info) <=
-  /// evaluate_order(inst, order(info), ...).makespan` must hold for every
-  /// instance the entry accepts.  The default returns the instance-level
-  /// bound cached in the info (every schedule delivers each cluster at
-  /// least once).  Composite selectors prune candidates whose bound
-  /// cannot beat the incumbent; an unsound override is detected under
-  /// GRIDCAST_DCHECK during proposal.
-  [[nodiscard]] virtual Time lower_bound(
-      const SchedulerRuntimeInfo& info) const {
-    return info.lower_bound();
-  }
 
   [[nodiscard]] const HeuristicOptions& options() const noexcept {
     return opts_;

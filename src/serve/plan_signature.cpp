@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "io/grid_io.hpp"
+#include "sched/order_memo.hpp"
 #include "support/error.hpp"
 
 namespace gridcast::serve {
@@ -80,9 +81,7 @@ std::uint64_t scheduler_set_revision(
     const std::vector<sched::Scheduler>& competitors) {
   std::uint64_t h = kFnvOffset;
   for (const auto& comp : competitors) {
-    h = fnv1a(comp.name(), h);
-    h = fnv1a("|", h);  // separator: {"a","bc"} must differ from {"ab","c"}
-    h = fnv1a(comp.entry().describe_options(), h);
+    h = fnv1a(sched::entry_key(comp.entry()), h);
     h = fnv1a(";", h);
   }
   return h;

@@ -69,9 +69,10 @@ struct PlanSignature {
 /// Throws InvalidInput for unreachable bucket ids.
 [[nodiscard]] Bytes bucket_floor(std::uint32_t bucket);
 
-/// Order-sensitive FNV-1a fold of every competitor's registry name and
-/// option description.  Adding, removing, reordering, or re-tuning a
-/// competitor changes the revision and thereby every signature.
+/// Order-sensitive FNV-1a fold of every competitor's `sched::entry_key`
+/// (registry name and option description, the order memo's key too).
+/// Adding, removing, reordering, or re-tuning a competitor changes the
+/// revision and thereby every signature.
 [[nodiscard]] std::uint64_t scheduler_set_revision(
     const std::vector<sched::Scheduler>& competitors);
 

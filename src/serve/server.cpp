@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "exp/race_cli.hpp"
+#include "sched/order_memo.hpp"
 #include "support/error.hpp"
 
 namespace gridcast::serve {
@@ -100,6 +101,15 @@ PlanPtr PlanService::build_plan(const PlanSignature& sig) {
     gate_roots.push_back(sig.root);
   }
 
+  // One memo per build: a broadcast build's composites ("auto", "Mixed")
+  // reuse the orders the loop below derived for their candidates and
+  // delegates, and the plan's schedule is the winner's stored one.
+  // Scatter and all-to-all derive their instances inside the backend, so
+  // only the plan's schedule goes through the memo there.
+  const exp::InstancePtr inst = instances_.get(sig.root, m);
+  sched::OrderMemo memo;
+  const sched::SchedulerRuntimeInfo info(*inst, m, opts_.completion, &memo);
+
   const sched::Scheduler* best = nullptr;
   Time best_completion = 0.0;
   std::vector<std::string> refused;
@@ -126,13 +136,9 @@ PlanPtr PlanService::build_plan(const PlanSignature& sig) {
     }
     Time completion = 0.0;
     switch (sig.verb) {
-      case collective::Verb::kBcast: {
-        const exp::InstancePtr inst = instances_.get(sig.root, m);
-        const sched::SchedulerRuntimeInfo info(*inst, m,
-                                               comp.options().completion);
+      case collective::Verb::kBcast:
         completion = backend_->bcast(comp.entry(), info).completion;
         break;
-      }
       case collective::Verb::kScatter:
         completion = backend_->scatter(comp.entry(), sig.root, m).completion;
         break;
@@ -156,11 +162,10 @@ PlanPtr PlanService::build_plan(const PlanSignature& sig) {
     throw InvalidInput("no schedulable competitor for signature " +
                        sig.encode() + " (refused: " + who + ")");
   }
-  const exp::InstancePtr inst = instances_.get(sig.root, m);
   return std::make_shared<const SchedulePlan>(SchedulePlan{
       sig, std::string(best->name()),
       sched::registry().make(best->name(), best->options()),
-      best->run(*inst), best_completion, m});
+      sched::schedule_of(best->entry(), info), best_completion, m});
 }
 
 PlanPtr PlanService::plan_for(collective::Verb verb, ClusterId root, Bytes m) {

@@ -95,6 +95,7 @@ TEST(RaceCliParse, ShardForms) {
 
 TEST(RaceCliParse, RejectsBadInput) {
   EXPECT_THROW((void)parse_race_cli({"--nonsense"}), InvalidInput);
+  EXPECT_THROW((void)parse_race_cli({"--no-prune"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"stray.json"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--mode=both"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--sizes=12Q"}), InvalidInput);

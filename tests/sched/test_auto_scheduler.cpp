@@ -8,15 +8,12 @@
 
 #include "exp/instance_cache.hpp"
 #include "exp/param_ranges.hpp"
-#include "exp/race_cli.hpp"
 #include "exp/sweep.hpp"
-#include "io/bench_json.hpp"
 #include "sched/builtin_schedulers.hpp"
 #include "sched/evaluate.hpp"
 #include "sched/registry.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 #include "topology/grid5000.hpp"
 
 namespace gridcast::sched {
@@ -98,7 +95,7 @@ TEST(AutoScheduler, CandidatesAreTheNonCompositeRegistryInOrder) {
     EXPECT_NE(name, "Mixed");
   }
   EXPECT_EQ(autos.describe_options(),
-            "prune=on candidates=" + std::to_string(candidates.size()));
+            "candidates=" + std::to_string(candidates.size()));
 }
 
 // --------------------------------------------------- the argmin property
@@ -121,9 +118,10 @@ TEST(AutoScheduler, WinnerIsArgminOnTheFixtureGridLadder) {
           evaluate_order(info.instance(), proposal.order, completion).makespan,
           proposal.makespan);
       // Accounting covers the whole candidate walk.
-      EXPECT_EQ(proposal.evaluated + proposal.pruned + proposal.gated,
+      EXPECT_EQ(proposal.evaluated + proposal.gated,
                 autos.candidate_names().size());
-      EXPECT_EQ(proposal.evaluated + proposal.pruned, want.accepting);
+      EXPECT_EQ(proposal.evaluated, want.accepting);
+      EXPECT_EQ(proposal.pruned, 0u);
     }
   }
 }
@@ -168,62 +166,6 @@ TEST(AutoScheduler, MatchesOrBeatsMixedEverywhere) {
         evaluate_order(inst, mixed->order(info), info.completion()).makespan;
     EXPECT_LE(autos.propose(info).makespan, mixed_mk) << "iteration " << it;
   }
-}
-
-// --------------------------------------------------- pruning purity
-
-TEST(AutoScheduler, PruningNeverChangesTheSelection) {
-  HeuristicOptions no_prune;
-  no_prune.prune = false;
-  const AutoScheduler pruned(registry());
-  const AutoScheduler unpruned(registry(), no_prune);
-  EXPECT_EQ(unpruned.describe_options(),
-            "prune=off candidates=" +
-                std::to_string(unpruned.candidate_names().size()));
-  const topology::Grid grid = topology::grid5000_testbed();
-  exp::InstanceCache cache(grid);
-  for (const Bytes m : exp::default_size_ladder()) {
-    const SchedulerRuntimeInfo info(*cache.get(0, m), m);
-    const auto a = pruned.propose(info);
-    const auto b = unpruned.propose(info);
-    EXPECT_EQ(a.winner, b.winner);
-    EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.order, b.order);
-    // Off means off: every accepting candidate is evaluated.
-    EXPECT_EQ(b.pruned, 0u);
-    EXPECT_EQ(a.evaluated + a.pruned, b.evaluated);
-  }
-}
-
-// Byte-identity over whole reports, through the real harnesses: pruning
-// is invisible to everything downstream of selection.
-TEST(AutoScheduler, PruneOnOffSweepReportsAreByteIdentical) {
-  const topology::Grid grid = topology::grid5000_testbed();
-  exp::InstanceCache cache(grid);
-  ThreadPool pool(0);
-  exp::RaceSpec spec;
-  spec.sched_names = registry().names();  // includes Mixed and auto
-  const io::BenchReport on =
-      exp::run_race_sweep(cache, "grid5000_testbed", spec, pool);
-  spec.prune = false;
-  const io::BenchReport off =
-      exp::run_race_sweep(cache, "grid5000_testbed", spec, pool);
-  EXPECT_EQ(io::bench_to_json(on), io::bench_to_json(off));
-}
-
-TEST(AutoScheduler, PruneOnOffMonteCarloReportsAreByteIdentical) {
-  ThreadPool pool(0);
-  exp::RaceGridSpec spec;
-  for (const auto& c : paper_heuristics())
-    spec.sched_names.emplace_back(c.name());
-  spec.sched_names.emplace_back("auto");
-  spec.cluster_counts = {2, 5, 8};
-  spec.iterations = 48;
-  spec.block_iters = 16;
-  const io::BenchReport on = exp::run_race_grid(spec, pool);
-  spec.prune = false;
-  const io::BenchReport off = exp::run_race_grid(spec, pool);
-  EXPECT_EQ(io::bench_to_json(on), io::bench_to_json(off));
 }
 
 // --------------------------------------------------- adversarial fixtures

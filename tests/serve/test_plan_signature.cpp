@@ -150,7 +150,7 @@ TEST(SchedulerSetRevision, StableAndSetSensitive) {
             scheduler_set_revision(all));
 }
 
-TEST(SchedulerSetRevision, RollsWhenAutoJoinsAndWhenItsKnobsChange) {
+TEST(SchedulerSetRevision, RollsWhenAutoJoins) {
   // Registering "auto" must invalidate cached plans: an empty sched set
   // means "every registered scheduler", and the revision is what tells a
   // serving replay that the set grew.
@@ -162,15 +162,6 @@ TEST(SchedulerSetRevision, RollsWhenAutoJoinsAndWhenItsKnobsChange) {
   const auto without_auto = exp::resolve_competitors(names, opts);
   EXPECT_NE(scheduler_set_revision(with_auto),
             scheduler_set_revision(without_auto));
-
-  // The revision folds describe_options(), and auto describes its prune
-  // knob — so flipping --no-prune rolls the revision too, even though
-  // selections are identical (the conservative direction for a cache).
-  sched::HeuristicOptions no_prune = opts;
-  no_prune.prune = false;
-  EXPECT_NE(scheduler_set_revision(
-                exp::resolve_competitors({"auto"}, no_prune)),
-            scheduler_set_revision(exp::resolve_competitors({"auto"}, opts)));
 }
 
 }  // namespace
