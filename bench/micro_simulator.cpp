@@ -1,8 +1,9 @@
 // Microbenchmark: discrete-event simulator throughput — engine event
-// processing, full collective executions on the Table 3 testbed, and one
-// Monte-Carlo race iteration (the unit the Figs. 1-4 experiment repeats
-// millions of times).  Every benchmark reports items/sec via
-// SetItemsProcessed so regressions read directly in throughput terms.
+// processing, full collective executions on the Table 3 testbed (items are
+// delivered messages), and one Monte-Carlo race iteration (the unit the
+// Figs. 1-4 experiment repeats millions of times).  Every benchmark
+// reports items/sec via SetItemsProcessed so regressions read directly in
+// throughput terms.
 
 #include <benchmark/benchmark.h>
 
@@ -39,41 +40,41 @@ void BM_EngineThroughput(benchmark::State& state) {
 void BM_GridBinomialBcast(benchmark::State& state) {
   const topology::Grid grid = topology::grid5000_testbed();
   const Bytes m = static_cast<Bytes>(state.range(0));
-  std::int64_t events = 0;
+  std::int64_t messages = 0;
   for (auto _ : state) {
     sim::Network net(grid, {}, 1);
     benchmark::DoNotOptimize(
         collective::run_grid_unaware_binomial(net, 0, m).completion);
-    events += static_cast<std::int64_t>(net.engine().processed());
+    messages += static_cast<std::int64_t>(net.messages());
   }
-  state.SetItemsProcessed(events);
+  state.SetItemsProcessed(messages);
 }
 
 void BM_GridScatter(benchmark::State& state) {
   const topology::Grid grid = topology::grid5000_testbed();
   const Bytes block = static_cast<Bytes>(state.range(0));
-  std::int64_t events = 0;
+  std::int64_t messages = 0;
   for (auto _ : state) {
     sim::Network net(grid, {}, 1);
     benchmark::DoNotOptimize(
         collective::run_hierarchical_scatter(net, 0, block).completion);
-    events += static_cast<std::int64_t>(net.engine().processed());
+    messages += static_cast<std::int64_t>(net.messages());
   }
-  state.SetItemsProcessed(events);
+  state.SetItemsProcessed(messages);
 }
 
 void BM_NaiveAlltoall(benchmark::State& state) {
   const topology::Grid grid = topology::grid5000_testbed();
   const Bytes block = static_cast<Bytes>(state.range(0));
-  std::int64_t events = 0;
+  std::int64_t messages = 0;
   for (auto _ : state) {
     // 88 ranks -> 7656 point-to-point messages per run.
     sim::Network net(grid, {}, 1);
     benchmark::DoNotOptimize(
         collective::run_naive_alltoall(net, block).completion);
-    events += static_cast<std::int64_t>(net.engine().processed());
+    messages += static_cast<std::int64_t>(net.messages());
   }
-  state.SetItemsProcessed(events);
+  state.SetItemsProcessed(messages);
 }
 
 // One Figs. 1-4 Monte-Carlo iteration: draw a Table 2 instance, schedule

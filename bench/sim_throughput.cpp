@@ -1,4 +1,4 @@
-// Simulator throughput lane: events/sec and sends/sec snapshots in the
+// Simulator throughput lane: events/sec, sends/sec and messages/sec in the
 // strict BenchReport grammar (`bench == "micro"`), suitable for the CI
 // lower-bound gate (`gridcast_race --check=... --baseline=... ` with
 // --throughput-tol).  Unlike the makespan sweeps, these numbers are
@@ -8,9 +8,11 @@
 // The axis is the per-run workload scale: the engine series schedules
 // that many events, the network series issues that many sends, and the
 // collective series use it as the block size in bytes.  Every series
-// reports items (simulator events or sends) per second of wall time,
-// taking the best rate across repetitions so a single scheduler hiccup
-// cannot fail the gate.
+// reports items (engine events, sends, or a collective's delivered
+// messages) per second of wall time, taking the best rate across
+// repetitions so a single scheduler hiccup cannot fail the gate.  The
+// collectives count messages, not engine events: a delivery that sends
+// nothing further never becomes an event.
 //
 // This is deliberately NOT a Google Benchmark binary: the bench/
 // CMakeLists links `micro_*` stems against the (optional) benchmark
@@ -86,13 +88,13 @@ std::uint64_t network_workload(const topology::Grid& grid,
 std::uint64_t scatter_workload(const topology::Grid& grid, Bytes block) {
   sim::Network net(grid, {}, 1);
   (void)collective::run_hierarchical_scatter(net, 0, block);
-  return net.engine().processed();
+  return net.messages();
 }
 
 std::uint64_t alltoall_workload(const topology::Grid& grid, Bytes block) {
   sim::Network net(grid, {}, 1);
   (void)collective::run_naive_alltoall(net, block);
-  return net.engine().processed();
+  return net.messages();
 }
 
 }  // namespace
@@ -136,9 +138,9 @@ int main(int argc, char** argv) {
   io::BenchSeries network_s;
   network_s.name = "network_sends";
   io::BenchSeries scatter_s;
-  scatter_s.name = "hierarchical_scatter_events";
+  scatter_s.name = "hierarchical_scatter_messages";
   io::BenchSeries alltoall_s;
-  alltoall_s.name = "naive_alltoall_events";
+  alltoall_s.name = "naive_alltoall_messages";
 
   for (const Bytes scale : scales) {
     const auto n = static_cast<std::size_t>(scale);

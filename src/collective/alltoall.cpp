@@ -1,8 +1,8 @@
 #include "collective/alltoall.hpp"
 
 #include <algorithm>
-#include <memory>
 
+#include "collective/executor.hpp"
 #include "support/error.hpp"
 
 namespace gridcast::collective {
@@ -11,11 +11,10 @@ namespace {
 
 struct State {
   std::vector<Time> completed;
-  std::vector<std::uint32_t> pending;  ///< inbound events still expected
-  std::uint64_t base_messages = 0;
-  std::uint64_t base_wan_messages = 0;
-  Bytes base_bytes = 0;
-  Bytes base_wan_bytes = 0;
+  std::vector<std::uint32_t> pending;  ///< inbound blocks still expected
+
+  explicit State(std::uint32_t ranks)
+      : completed(ranks, 0.0), pending(ranks, 0) {}
 
   void arrived(NodeId dst, Time t) {
     GRIDCAST_ASSERT(pending[dst] > 0, "unexpected arrival");
@@ -24,46 +23,37 @@ struct State {
   }
 };
 
-AlltoallResult collect(sim::Network& net, const std::shared_ptr<State>& st) {
+/// Drains the engine, whose callbacks write into `st`, then moves its
+/// arrival times into the result.
+AlltoallResult collect(sim::Network& net, State& st) {
   net.engine().run();
-  for (const auto p : st->pending)
+  for (const auto p : st.pending)
     GRIDCAST_ASSERT(p == 0, "alltoall finished with missing blocks");
   AlltoallResult r;
-  r.completed = st->completed;
-  r.completion =
-      *std::max_element(r.completed.begin(), r.completed.end());
-  r.messages = net.messages() - st->base_messages;
-  r.wan_messages = net.inter_cluster_messages() - st->base_wan_messages;
-  r.bytes = net.bytes_sent() - st->base_bytes;
-  r.wan_bytes = net.inter_cluster_bytes() - st->base_wan_bytes;
+  r.completion = *std::max_element(st.completed.begin(), st.completed.end());
+  r.completed = std::move(st.completed);
+  r.messages = net.messages();
+  r.wan_messages = net.inter_cluster_messages();
+  r.bytes = net.bytes_sent();
+  r.wan_bytes = net.inter_cluster_bytes();
   return r;
-}
-
-std::shared_ptr<State> make_state(sim::Network& net) {
-  auto st = std::make_shared<State>();
-  st->completed.assign(net.ranks(), 0.0);
-  st->pending.assign(net.ranks(), 0);
-  st->base_messages = net.messages();
-  st->base_wan_messages = net.inter_cluster_messages();
-  st->base_bytes = net.bytes_sent();
-  st->base_wan_bytes = net.inter_cluster_bytes();
-  return st;
 }
 
 }  // namespace
 
 AlltoallResult run_naive_alltoall(sim::Network& net, Bytes block) {
+  detail::expect_fresh(net);
   const auto n = net.ranks();
   GRIDCAST_ASSERT(n >= 1, "empty network");
-  auto st = make_state(net);
+  State st(n);
   // Every rank expects one block from each peer.
-  for (NodeId r = 0; r < n; ++r) st->pending[r] = n - 1;
-  if (n == 1) st->completed[0] = net.engine().now();
+  for (NodeId r = 0; r < n; ++r) st.pending[r] = n - 1;
+  if (n == 1) st.completed[0] = net.engine().now();
 
   for (NodeId src = 0; src < n; ++src) {
     for (std::uint32_t k = 1; k < n; ++k) {
       const NodeId dst = static_cast<NodeId>((src + k) % n);
-      net.send(src, dst, block, [st, dst](Time t) { st->arrived(dst, t); });
+      st.arrived(dst, net.send(src, dst, block).delivered);
     }
   }
   return collect(net, st);
@@ -76,10 +66,11 @@ namespace {
 AlltoallResult hierarchical_alltoall_over(
     sim::Network& net, Bytes block,
     const std::vector<std::vector<ClusterId>>& dest_order) {
+  detail::expect_fresh(net);
   const auto& grid = net.grid();
   const auto n = net.ranks();
   const auto n_clusters = static_cast<ClusterId>(grid.cluster_count());
-  auto st = make_state(net);
+  State st(n);
 
   const auto coord = [&grid](ClusterId c) { return grid.global_rank(c, 0); };
 
@@ -88,9 +79,9 @@ AlltoallResult hierarchical_alltoall_over(
   // receive the remote-cluster aggregate itself instead).
   for (NodeId r = 0; r < n; ++r) {
     const auto [c, l] = grid.locate(r);
-    st->pending[r] = grid.cluster(c).size() - 1 + (n_clusters - 1);
+    st.pending[r] = grid.cluster(c).size() - 1 + (n_clusters - 1);
   }
-  if (n == 1) st->completed[0] = net.engine().now();
+  if (n == 1) st.completed[0] = net.engine().now();
 
   // Phase: intra-cluster pairs exchange directly (round-robin).
   for (ClusterId c = 0; c < n_clusters; ++c) {
@@ -99,7 +90,7 @@ AlltoallResult hierarchical_alltoall_over(
       const NodeId src = grid.global_rank(c, a);
       for (std::uint32_t k = 1; k < size; ++k) {
         const NodeId dst = grid.global_rank(c, (a + k) % size);
-        net.send(src, dst, block, [st, dst](Time t) { st->arrived(dst, t); });
+        st.arrived(dst, net.send(src, dst, block).delivered);
       }
     }
   }
@@ -108,13 +99,12 @@ AlltoallResult hierarchical_alltoall_over(
   // Coordinator c owes each remote cluster d an aggregate of
   // size_c * size_d blocks; it may ship the (c, d) aggregate once all local
   // contributions are in (its own are local from the start).
-  auto gathered = std::make_shared<std::vector<std::uint32_t>>();
-  gathered->assign(n_clusters, 0);
+  std::vector<std::uint32_t> gathered(n_clusters, 0);
 
-  const auto maybe_exchange = [&net, &grid, st, coord, gathered, block,
+  const auto maybe_exchange = [&net, &grid, &st, coord, &gathered, block,
                                &dest_order](ClusterId c) {
-    if ((*gathered)[c] < grid.cluster(c).size() - 1) return;
-    (*gathered)[c] = UINT32_MAX;  // fire once
+    if (gathered[c] < grid.cluster(c).size() - 1) return;
+    gathered[c] = UINT32_MAX;  // fire once
     const std::uint32_t size_c = grid.cluster(c).size();
     for (const ClusterId d : dest_order[c]) {
       if (d == c) continue;
@@ -122,17 +112,16 @@ AlltoallResult hierarchical_alltoall_over(
       const Bytes aggregate =
           static_cast<Bytes>(size_c) * static_cast<Bytes>(size_d) * block;
       net.send(coord(c), coord(d), aggregate,
-               [&net, &grid, st, coord, block, c, d, size_c](Time t) {
+               [&net, &grid, &st, coord, block, d, size_c](Time t) {
                  // Deliver: coordinator d satisfies itself, forwards to the
                  // other locals the blocks cluster c addressed to them.
                  const NodeId me = coord(d);
-                 st->arrived(me, t);
+                 st.arrived(me, t);
                  const std::uint32_t size_d2 = grid.cluster(d).size();
+                 const Bytes forward = static_cast<Bytes>(size_c) * block;
                  for (NodeId l = 1; l < size_d2; ++l) {
                    const NodeId dst = grid.global_rank(d, l);
-                   net.send(me, dst,
-                            static_cast<Bytes>(size_c) * block,
-                            [st, dst](Time tt) { st->arrived(dst, tt); });
+                   st.arrived(dst, net.send(me, dst, forward).delivered);
                  }
                });
     }
@@ -153,14 +142,11 @@ AlltoallResult hierarchical_alltoall_over(
       // this frame returns.  Copying it would exceed the inline handler
       // capacity.
       net.send(src, coord(c), remote_blocks,
-               [&maybe_exchange, gathered, c](Time) {
-                 ++(*gathered)[c];
+               [&maybe_exchange, &gathered, c](Time) {
+                 ++gathered[c];
                  maybe_exchange(c);
                });
     }
-  }
-  if (n_clusters == 1) {
-    // Degenerate grid: the intra exchange above is the whole operation.
   }
   return collect(net, st);
 }

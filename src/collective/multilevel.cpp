@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
+#include <numeric>
 
+#include "collective/executor.hpp"
 #include "support/error.hpp"
 
 namespace gridcast::collective {
@@ -26,6 +27,7 @@ SiteMap sites_by_latency(const topology::Grid& grid, Time site_threshold) {
 
 BcastResult run_multilevel_bcast(sim::Network& net, ClusterId root_cluster,
                                  const SiteMap& sites, Bytes m) {
+  detail::expect_fresh(net);
   const auto& grid = net.grid();
   const auto n = static_cast<ClusterId>(grid.cluster_count());
   GRIDCAST_ASSERT(root_cluster < n, "root cluster out of range");
@@ -46,54 +48,31 @@ BcastResult run_multilevel_bcast(sim::Network& net, ClusterId root_cluster,
   }
   gateway_of_site[sites[root_cluster]] = root_cluster;
 
-  struct State {
-    std::vector<Time> delivered;
-    std::uint64_t base_messages;
-  };
-  auto st = std::make_shared<State>();
-  st->delivered.assign(net.ranks(), 0.0);
-  st->base_messages = net.messages();
+  std::vector<Time> delivered(net.ranks(), 0.0);
+  // Global ranks by position (contiguous per cluster), for the local trees.
+  std::vector<NodeId> global(net.ranks());
+  std::iota(global.begin(), global.end(), NodeId{0});
 
   const auto coord = [&grid](ClusterId c) { return grid.global_rank(c, 0); };
 
   // Level 2: local binomial once a coordinator holds the payload.
-  const auto local_tree = [&net, &grid, st, m](ClusterId c) {
-    const std::uint32_t size = grid.cluster(c).size();
-    if (size <= 1) return;
-    struct Issue {
-      sim::Network& net;
-      std::shared_ptr<State> st;
-      std::vector<NodeId> ranks;
-      Bytes m;
-      void go(std::size_t lo, std::size_t hi,
-              const std::shared_ptr<Issue>& self) {
-        const std::size_t cnt = hi - lo;
-        if (cnt <= 1) return;
-        const std::size_t child_side = cnt / 2;
-        const std::size_t mid = lo + (cnt - child_side);
-        net.send(ranks[lo], ranks[mid], m, [self, mid, hi](Time t) {
-          self->st->delivered[self->ranks[mid]] = t;
-          self->go(mid, hi, self);
-        });
-        go(lo, mid, self);
-      }
-    };
-    std::vector<NodeId> local;
-    local.reserve(size);
-    for (NodeId l = 0; l < size; ++l) local.push_back(grid.global_rank(c, l));
-    auto issue = std::make_shared<Issue>(Issue{net, st, std::move(local), m});
-    issue->go(0, issue->ranks.size(), issue);
+  const auto local_tree = [&net, &grid, &delivered, &global, coord,
+                           m](ClusterId c) {
+    const NodeId first = coord(c);
+    detail::binomial_issue(net, global.data() + first,
+                           delivered.data() + first, 0,
+                           grid.cluster(c).size(), m);
   };
 
   // Level 1: a gateway flat-trees to its site's other coordinators, then
   // broadcasts locally; plain coordinators go straight to level 2.  The
   // handler lives on this frame: the engine drains below, before return.
   std::function<void(ClusterId, Time)> on_coordinator;
-  on_coordinator = [&net, &st, coord, &clusters_of_site, &sites,
+  on_coordinator = [&net, &delivered, coord, &clusters_of_site, &sites,
                     &gateway_of_site, &local_tree, &on_coordinator,
                     m](ClusterId c, Time t) {
     const NodeId me = coord(c);
-    st->delivered[me] = t;
+    delivered[me] = t;
     if (gateway_of_site[sites[c]] == c) {
       for (const ClusterId d : clusters_of_site[sites[c]]) {
         if (d == c) continue;
@@ -106,7 +85,7 @@ BcastResult run_multilevel_bcast(sim::Network& net, ClusterId root_cluster,
 
   // Level 0: the root flat-trees to every remote site's gateway.
   const NodeId root_rank = coord(root_cluster);
-  st->delivered[root_rank] = net.engine().now();
+  delivered[root_rank] = net.engine().now();
   for (std::uint32_t s = 0; s < gateway_of_site.size(); ++s) {
     if (gateway_of_site[s] == kNoCluster || s == sites[root_cluster])
       continue;
@@ -117,12 +96,12 @@ BcastResult run_multilevel_bcast(sim::Network& net, ClusterId root_cluster,
   // The root is its own site's gateway: serve its site and its cluster.
   on_coordinator(root_cluster, net.engine().now());
 
+  // Drain before moving `delivered` out: callbacks write into it.
   net.engine().run();
   BcastResult r;
-  r.delivered = st->delivered;
-  r.completion =
-      *std::max_element(r.delivered.begin(), r.delivered.end());
-  r.messages = net.messages() - st->base_messages;
+  r.completion = *std::max_element(delivered.begin(), delivered.end());
+  r.delivered = std::move(delivered);
+  r.messages = net.messages();
   return r;
 }
 

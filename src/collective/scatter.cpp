@@ -1,60 +1,44 @@
 #include "collective/scatter.hpp"
 
 #include <algorithm>
-#include <memory>
 
+#include "collective/executor.hpp"
 #include "support/error.hpp"
 
 namespace gridcast::collective {
 
 namespace {
 
-struct State {
-  std::vector<Time> delivered;
-  std::uint64_t base_messages = 0;
-  std::uint64_t base_wan_messages = 0;
-  Bytes base_bytes = 0;
-  Bytes base_wan_bytes = 0;
-};
-
-ScatterResult collect(sim::Network& net, const std::shared_ptr<State>& st) {
+/// Drains the engine, whose callbacks write into `delivered`, then moves
+/// it into the result.
+ScatterResult collect(sim::Network& net, std::vector<Time>& delivered) {
   net.engine().run();
   ScatterResult r;
-  r.delivered = st->delivered;
-  r.completion =
-      *std::max_element(r.delivered.begin(), r.delivered.end());
-  r.messages = net.messages() - st->base_messages;
-  r.wan_messages = net.inter_cluster_messages() - st->base_wan_messages;
-  r.bytes = net.bytes_sent() - st->base_bytes;
-  r.wan_bytes = net.inter_cluster_bytes() - st->base_wan_bytes;
+  r.completion = *std::max_element(delivered.begin(), delivered.end());
+  r.delivered = std::move(delivered);
+  r.messages = net.messages();
+  r.wan_messages = net.inter_cluster_messages();
+  r.bytes = net.bytes_sent();
+  r.wan_bytes = net.inter_cluster_bytes();
   return r;
-}
-
-std::shared_ptr<State> make_state(sim::Network& net) {
-  auto st = std::make_shared<State>();
-  st->delivered.assign(net.ranks(), 0.0);
-  st->base_messages = net.messages();
-  st->base_wan_messages = net.inter_cluster_messages();
-  st->base_bytes = net.bytes_sent();
-  st->base_wan_bytes = net.inter_cluster_bytes();
-  return st;
 }
 
 }  // namespace
 
 ScatterResult run_naive_scatter(sim::Network& net, ClusterId root_cluster,
                                 Bytes block) {
+  detail::expect_fresh(net);
   const auto& grid = net.grid();
   GRIDCAST_ASSERT(root_cluster < grid.cluster_count(),
                   "root cluster out of range");
-  auto st = make_state(net);
+  std::vector<Time> delivered(net.ranks(), 0.0);
   const NodeId root = grid.global_rank(root_cluster, 0);
-  st->delivered[root] = net.engine().now();
+  delivered[root] = net.engine().now();
   for (NodeId r = 0; r < net.ranks(); ++r) {
     if (r == root) continue;
-    net.send(root, r, block, [st, r](Time t) { st->delivered[r] = t; });
+    delivered[r] = net.send(root, r, block).delivered;
   }
-  return collect(net, st);
+  return collect(net, delivered);
 }
 
 namespace {
@@ -64,24 +48,24 @@ namespace {
 ScatterResult hierarchical_scatter_over(sim::Network& net,
                                         ClusterId root_cluster, Bytes block,
                                         const std::vector<ClusterId>& remote) {
+  detail::expect_fresh(net);
   const auto& grid = net.grid();
   GRIDCAST_ASSERT(root_cluster < grid.cluster_count(),
                   "root cluster out of range");
-  auto st = make_state(net);
+  std::vector<Time> delivered(net.ranks(), 0.0);
   const NodeId root = grid.global_rank(root_cluster, 0);
-  st->delivered[root] = net.engine().now();
+  delivered[root] = net.engine().now();
 
   for (const ClusterId c : remote) {
     const NodeId coord = grid.global_rank(c, 0);
     const std::uint32_t size = grid.cluster(c).size();
     const Bytes aggregate = static_cast<Bytes>(size) * block;
-    net.send(root, coord, aggregate, [&net, &grid, st, c, coord, block,
-                                      size](Time t) {
-      st->delivered[coord] = t;
+    net.send(root, coord, aggregate, [&net, &grid, &delivered, c, coord,
+                                      block, size](Time t) {
+      delivered[coord] = t;
       for (NodeId l = 1; l < size; ++l) {
         const NodeId dst = grid.global_rank(c, l);
-        net.send(coord, dst, block,
-                 [st, dst](Time tt) { st->delivered[dst] = tt; });
+        delivered[dst] = net.send(coord, dst, block).delivered;
       }
     });
   }
@@ -89,9 +73,9 @@ ScatterResult hierarchical_scatter_over(sim::Network& net,
   const std::uint32_t root_size = grid.cluster(root_cluster).size();
   for (NodeId l = 1; l < root_size; ++l) {
     const NodeId dst = grid.global_rank(root_cluster, l);
-    net.send(root, dst, block, [st, dst](Time t) { st->delivered[dst] = t; });
+    delivered[dst] = net.send(root, dst, block).delivered;
   }
-  return collect(net, st);
+  return collect(net, delivered);
 }
 
 }  // namespace
