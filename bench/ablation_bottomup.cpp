@@ -14,28 +14,23 @@ int main() {
                        "mean completion time (s), 1 MB broadcast", opt);
   ThreadPool pool(opt.threads);
 
+  // One race per BottomUp policy; both see the same draws.  FEF and
+  // ECEF-LAT ignore the policy, so they ride along with the first.
   sched::HeuristicOptions ready, paper;
   ready.bottomup = sched::BottomUpPolicy::kReadyTimeAware;
   paper.bottomup = sched::BottomUpPolicy::kPaperFormula;
-  const std::vector<sched::Scheduler> comps{
-      sched::Scheduler("BottomUp", ready),
-      sched::Scheduler("BottomUp", paper),
-      sched::Scheduler("FEF"),
-      sched::Scheduler("ECEF-LAT")};
+  const std::vector<std::size_t> counts{4, 8, 16, 32, 50};
+  const auto a =
+      benchx::race(counts, {"BottomUp", "FEF", "ECEF-LAT"}, opt, pool, ready);
+  const auto b = benchx::race(counts, {"BottomUp"}, opt, pool, paper);
 
   Table t({"clusters", "BottomUp(RT-aware)", "BottomUp(paper-formula)", "FEF",
            "ECEF-LAT"});
-  for (const std::size_t n : {4UL, 8UL, 16UL, 32UL, 50UL}) {
-    exp::RaceConfig cfg;
-    cfg.clusters = n;
-    cfg.iterations = opt.iterations;
-    cfg.seed = opt.seed;
-    const auto r = exp::run_race(comps, cfg, pool);
-    t.add_row(std::to_string(n),
-              {r.makespan[0].mean(), r.makespan[1].mean(),
-               r.makespan[2].mean(), r.makespan[3].mean()},
+  for (std::size_t p = 0; p < counts.size(); ++p)
+    t.add_row(std::to_string(counts[p]),
+              {a.series[0].makespan_s[p], b.series[0].makespan_s[p],
+               a.series[1].makespan_s[p], a.series[2].makespan_s[p]},
               3);
-  }
   benchx::emit(t, opt);
   return 0;
 }

@@ -24,10 +24,12 @@ int main() {
               << (model == sched::CompletionModel::kEager ? "eager (arrival+T)"
                                                           : "after-last-send")
               << '\n';
-    const Table t =
-        benchx::race_sweep(counts, benchx::names_of(sched::ecef_family()),
-                           opt, benchx::RaceMetric::kHits, pool, model);
-    benchx::emit(t, opt);
+    benchx::emit(
+        benchx::race_table(
+            benchx::race(counts, benchx::names_of(sched::ecef_family()), opt,
+                         pool, opts),
+            benchx::RaceMetric::kHits),
+        opt);
   }
   return 0;
 }

@@ -15,26 +15,21 @@ int main() {
                        "mean completion time (s), 1 MB broadcast", opt);
   ThreadPool pool(opt.threads);
 
+  // One race per FEF weight; both see the same draws.  ECEF ignores the
+  // weight, so it rides along with the first.
   sched::HeuristicOptions gl, lonly;
   gl.fef_weight = sched::FefWeight::kGapPlusLatency;
   lonly.fef_weight = sched::FefWeight::kLatencyOnly;
-  const std::vector<sched::Scheduler> comps{
-      sched::Scheduler("FEF", gl),
-      sched::Scheduler("FEF", lonly),
-      sched::Scheduler("ECEF")};
+  const std::vector<std::size_t> counts{4, 8, 16, 32, 50};
+  const auto a = benchx::race(counts, {"FEF", "ECEF"}, opt, pool, gl);
+  const auto b = benchx::race(counts, {"FEF"}, opt, pool, lonly);
 
   Table t({"clusters", "FEF(g+L ablation)", "FEF(L only, paper)", "ECEF"});
-  for (const std::size_t n : {4UL, 8UL, 16UL, 32UL, 50UL}) {
-    exp::RaceConfig cfg;
-    cfg.clusters = n;
-    cfg.iterations = opt.iterations;
-    cfg.seed = opt.seed;
-    const auto r = exp::run_race(comps, cfg, pool);
-    t.add_row(std::to_string(n),
-              {r.makespan[0].mean(), r.makespan[1].mean(),
-               r.makespan[2].mean()},
+  for (std::size_t p = 0; p < counts.size(); ++p)
+    t.add_row(std::to_string(counts[p]),
+              {a.series[0].makespan_s[p], b.series[0].makespan_s[p],
+               a.series[1].makespan_s[p]},
               3);
-  }
   benchx::emit(t, opt);
   return 0;
 }

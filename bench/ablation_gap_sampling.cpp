@@ -14,30 +14,19 @@ int main() {
   benchx::print_banner("Ablation: gap sampling",
                        "ECEF-family hit counts, per-pair vs shared gap", opt);
   ThreadPool pool(opt.threads);
-  const auto family = sched::ecef_family();
-
   const std::vector<std::size_t> counts{5, 15, 30, 50};
   for (const bool shared : {false, true}) {
     std::cout << "# gap sampling = " << (shared ? "shared-per-iteration"
                                                : "per-pair")
               << '\n';
-    std::vector<std::string> header{"clusters"};
-    for (const auto& c : family) header.emplace_back(c.name());
-    Table t(std::move(header));
-    for (const std::size_t n : counts) {
-      exp::RaceConfig cfg;
-      cfg.clusters = n;
-      cfg.iterations = opt.iterations;
-      cfg.seed = opt.seed;
-      cfg.ranges = shared ? exp::ParamRanges::shared_gap()
-                          : exp::ParamRanges::paper();
-      const auto r = exp::run_race(family, cfg, pool);
-      std::vector<double> row;
-      for (std::size_t s = 0; s < family.size(); ++s)
-        row.push_back(static_cast<double>(r.hits[s]));
-      t.add_row(std::to_string(n), row, 0);
-    }
-    benchx::emit(t, opt);
+    benchx::emit(
+        benchx::race_table(
+            benchx::race(counts, benchx::names_of(sched::ecef_family()), opt,
+                         pool, {},
+                         shared ? exp::ParamRanges::shared_gap()
+                                : exp::ParamRanges::paper()),
+            benchx::RaceMetric::kHits),
+        opt);
   }
   return 0;
 }

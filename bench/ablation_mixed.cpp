@@ -14,26 +14,23 @@ int main() {
                        "ECEF-LA vs ECEF-LAT vs mixed(threshold=10)", opt);
   ThreadPool pool(opt.threads);
 
-  const auto family = sched::ecef_family();  // ECEF, LA, LAt, LAT
+  const std::vector<std::size_t> counts{4, 8, 10, 12, 20, 35, 50};
+  const io::BenchReport r = benchx::race(
+      counts, benchx::names_of(sched::ecef_family()), opt, pool);
   const sched::MixedStrategy mixed(10);
 
   Table t({"clusters", "ECEF-LA mean", "ECEF-LAT mean", "mixed mean",
            "ECEF-LA hits", "ECEF-LAT hits", "mixed hits", "mixed uses"});
-  for (const std::size_t n : {4UL, 8UL, 10UL, 12UL, 20UL, 35UL, 50UL}) {
-    exp::RaceConfig cfg;
-    cfg.clusters = n;
-    cfg.iterations = opt.iterations;
-    cfg.seed = opt.seed;
-    const auto r = exp::run_race(family, cfg, pool);
-
-    // Index into the family: 1 = ECEF-LA, 3 = ECEF-LAT.
-    const std::size_t pick =
-        mixed.choice(n) == "ECEF-LA" ? 1 : 3;
-    t.add_row({std::to_string(n), Table::fmt(r.makespan[1].mean(), 3),
-               Table::fmt(r.makespan[3].mean(), 3),
-               Table::fmt(r.makespan[pick].mean(), 3),
-               std::to_string(r.hits[1]), std::to_string(r.hits[3]),
-               std::to_string(r.hits[pick]),
+  for (std::size_t p = 0; p < counts.size(); ++p) {
+    const std::size_t n = counts[p];
+    // Series of the family race: 0 ECEF, 1 ECEF-LA, 2 ECEF-LAt, 3 ECEF-LAT.
+    const auto& la = r.series[1];
+    const auto& lat = r.series[3];
+    const auto& pick = mixed.choice(n) == "ECEF-LA" ? la : lat;
+    t.add_row({std::to_string(n), Table::fmt(la.makespan_s[p], 3),
+               Table::fmt(lat.makespan_s[p], 3),
+               Table::fmt(pick.makespan_s[p], 3), Table::fmt(la.hits[p], 0),
+               Table::fmt(lat.hits[p], 0), Table::fmt(pick.hits[p], 0),
                std::string(mixed.choice(n))});
   }
   benchx::emit(t, opt);

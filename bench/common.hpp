@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/montecarlo.hpp"
 #include "exp/race_cli.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
@@ -42,29 +41,34 @@ inline std::vector<std::string> names_of(
   return names;
 }
 
-/// Run the Monte-Carlo race for each cluster count and tabulate one series
-/// per competitor: mean makespan when `metric == kMean`, hit counts when
-/// `metric == kHits`.
-enum class RaceMetric { kMean, kHits };
-
-/// Delegates to the registry-driven Monte-Carlo race engine
-/// (exp::run_race_grid) — the same code path as `gridcast_race --race` —
-/// and reshapes the BenchReport into the paper's per-figure table.
-inline Table race_sweep(const std::vector<std::size_t>& counts,
-                        const std::vector<std::string>& sched_names,
-                        const BenchOptions& opt, RaceMetric metric,
-                        ThreadPool& pool,
-                        sched::CompletionModel completion =
-                            sched::CompletionModel::kEager) {
+/// Race `sched_names` at every cluster count through exp::run_race_grid —
+/// the same engine as `gridcast_race --race` — at `opt`'s depth and
+/// seed.  Every competitor is resolved with `options`; draws come from
+/// `ranges` and depend only on (seed, cluster count, iteration), so races
+/// that differ only in their options see the same instances.
+inline io::BenchReport race(const std::vector<std::size_t>& counts,
+                            std::vector<std::string> sched_names,
+                            const BenchOptions& opt, ThreadPool& pool,
+                            const sched::HeuristicOptions& options = {},
+                            const exp::ParamRanges& ranges =
+                                exp::ParamRanges::paper()) {
   exp::RaceGridSpec spec;
-  spec.sched_names = sched_names;
+  spec.sched_names = std::move(sched_names);
   spec.cluster_counts = counts;
   spec.iterations = opt.iterations;
   spec.seed = opt.seed;
-  spec.completion = completion;
-  const io::BenchReport r = exp::run_race_grid(spec, pool);
+  spec.options = options;
+  spec.ranges = ranges;
+  return exp::run_race_grid(spec, pool);
+}
 
-  const std::size_t n_comps = sched_names.size();  // + trailing GlobalMin
+/// Tabulate a race report one row per cluster count and one column per
+/// competitor: mean makespan (plus the GlobalMin column) when
+/// `metric == kMean`, hit counts when `metric == kHits`.
+enum class RaceMetric { kMean, kHits };
+
+inline Table race_table(const io::BenchReport& r, RaceMetric metric) {
+  const std::size_t n_comps = r.series.size() - 1;  // + trailing GlobalMin
   std::vector<std::string> header{"clusters"};
   for (std::size_t s = 0; s < n_comps; ++s) header.push_back(r.series[s].name);
   if (metric == RaceMetric::kMean) header.emplace_back("global-min");

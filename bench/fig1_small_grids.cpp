@@ -16,9 +16,10 @@ int main() {
       "Figure 1", "1 MB broadcast, 2-10 clusters, mean completion time (s)",
       opt);
   ThreadPool pool(opt.threads);
-  const Table t = benchx::race_sweep(
-      exp::fig1_cluster_ladder(), benchx::names_of(sched::paper_heuristics()),
-      opt, benchx::RaceMetric::kMean, pool);
+  const Table t = benchx::race_table(
+      benchx::race(exp::fig1_cluster_ladder(),
+                   benchx::names_of(sched::paper_heuristics()), opt, pool),
+      benchx::RaceMetric::kMean);
   benchx::emit(t, opt);
   return 0;
 }

@@ -16,9 +16,10 @@ int main() {
       "1 MB broadcast, ECEF-family heuristics, mean completion time (s)",
       opt);
   ThreadPool pool(opt.threads);
-  const Table t = benchx::race_sweep(
-      exp::fig2_cluster_ladder(), benchx::names_of(sched::ecef_family()), opt,
-      benchx::RaceMetric::kMean, pool);
+  const Table t = benchx::race_table(
+      benchx::race(exp::fig2_cluster_ladder(),
+                   benchx::names_of(sched::ecef_family()), opt, pool),
+      benchx::RaceMetric::kMean);
   benchx::emit(t, opt);
   return 0;
 }

@@ -20,9 +20,10 @@ int main() {
                        "(counts out of the iteration total)",
                        opt);
   ThreadPool pool(opt.threads);
-  Table t = benchx::race_sweep(
-      exp::fig2_cluster_ladder(), benchx::names_of(sched::ecef_family()), opt,
-      benchx::RaceMetric::kHits, pool);
+  const Table t = benchx::race_table(
+      benchx::race(exp::fig2_cluster_ladder(),
+                   benchx::names_of(sched::ecef_family()), opt, pool),
+      benchx::RaceMetric::kHits);
   benchx::emit(t, opt);
 
   std::cout << "# hit rate = count / " << opt.iterations << '\n';

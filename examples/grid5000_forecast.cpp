@@ -7,6 +7,7 @@
 #include <iostream>
 #include <string_view>
 
+#include "collective/backends.hpp"
 #include "collective/bcast.hpp"
 #include "exp/sweep.hpp"
 #include "sched/registry.hpp"
@@ -28,7 +29,10 @@ int main() {
   const auto comps = sched::paper_heuristics();
   const std::vector<Bytes> sizes{KiB(512), MiB(1), MiB(2), MiB(4)};
   ThreadPool pool(ThreadPool::default_workers());
-  const auto sweep = exp::predicted_sweep(grid, 0, comps, sizes, pool);
+  exp::InstanceCache cache(grid);
+  const collective::PlogpBackend plogp(&grid);
+  const auto sweep =
+      exp::backend_sweep(plogp, cache, 0, comps, sizes, /*seed=*/0, pool);
 
   Table t([&] {
     std::vector<std::string> h{"message"};

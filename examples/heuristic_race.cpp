@@ -6,7 +6,7 @@
 #include <iostream>
 #include <vector>
 
-#include "exp/montecarlo.hpp"
+#include "exp/race_cli.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
 
@@ -26,27 +26,24 @@ int main(int argc, char** argv) {
 
   const BenchOptions opt = BenchOptions::from_env(2000);
   ThreadPool pool(opt.threads);
-  const auto comps = sched::paper_heuristics();
+  exp::RaceGridSpec spec;
+  for (const auto& c : sched::paper_heuristics())
+    spec.sched_names.emplace_back(c.name());
+  spec.iterations = opt.iterations;
+  spec.seed = opt.seed;
 
   for (const std::size_t n : counts) {
-    exp::RaceConfig cfg;
-    cfg.clusters = n;
-    cfg.iterations = opt.iterations;
-    cfg.seed = opt.seed;
-    const exp::RaceResult r = exp::run_race(comps, cfg, pool);
+    spec.cluster_counts = {n};
+    const io::BenchReport r = exp::run_race_grid(spec, pool);
 
     std::cout << "\n== " << n << " clusters, " << r.iterations
               << " iterations ==\n";
-    Table t({"heuristic", "mean (s)", "stddev", "min", "max", "hit rate"});
-    for (std::size_t s = 0; s < r.names.size(); ++s)
-      t.add_row(r.names[s],
-                {r.makespan[s].mean(), r.makespan[s].sample_stddev(),
-                 r.makespan[s].min(), r.makespan[s].max(), r.hit_rate(s)},
-                3);
-    t.add_row("(global minimum)",
-              {r.global_min.mean(), r.global_min.sample_stddev(),
-               r.global_min.min(), r.global_min.max(), 1.0},
-              3);
+    Table t({"heuristic", "mean (s)", "hit rate"});
+    const double iters = static_cast<double>(r.iterations);
+    for (std::size_t s = 0; s + 1 < r.series.size(); ++s)
+      t.add_row(r.series[s].name,
+                {r.series[s].makespan_s[0], r.series[s].hits[0] / iters}, 3);
+    t.add_row("(global minimum)", {r.series.back().makespan_s[0], 1.0}, 3);
     t.print(std::cout);
   }
   return 0;

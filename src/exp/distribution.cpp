@@ -20,7 +20,9 @@ DistributionResult run_distribution(const std::vector<sched::Scheduler>& comps,
   for (const auto& c : comps)
     out.series.emplace_back(std::string(c.name()), cfg);
 
-  // Chunk-ordered merging: see montecarlo.cpp (FP associativity).
+  // Partials are merged in chunk order afterwards: floating-point merging
+  // is not associative, so merge order must not depend on thread
+  // scheduling.
   std::mutex collect_mu;
   std::map<std::size_t, std::vector<DistributionSeries>> partials;
 

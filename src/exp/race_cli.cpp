@@ -11,12 +11,14 @@
 #include <optional>
 #include <ostream>
 #include <set>
+#include <sstream>
 #include <string_view>
 
 #include "collective/backend.hpp"
 #include "exp/realise.hpp"
 #include "io/grid_io.hpp"
 #include "sched/order_memo.hpp"
+#include "sim/network.hpp"
 #include "support/contracts.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -56,6 +58,18 @@ double parse_double(const std::string& token, const char* what) {
   if (end != token.c_str() + token.size() || token.empty())
     throw InvalidInput(std::string(what) + ": '" + token +
                        "' is not a number");
+  return v;
+}
+
+/// A --check tolerance.  An infinite, NaN or negative value (or a zero
+/// factor) would switch its gate off, so it must be finite and >= 0
+/// (`zero_ok`, the relative drift bound) or > 0 (the slack factors).
+double parse_tolerance(const std::string& token, const char* what,
+                       bool zero_ok) {
+  const double v = parse_double(token, what);
+  if (!std::isfinite(v) || v < 0.0 || (v == 0.0 && !zero_ok))
+    throw InvalidInput(std::string(what) + " must be finite and " +
+                       (zero_ok ? ">= 0" : "> 0") + ", got '" + token + "'");
   return v;
 }
 
@@ -367,6 +381,35 @@ std::uint64_t fnv1a(std::string_view s) {
   return h;
 }
 
+/// Reduce a shard-form race report whose every (point, block) cell is
+/// filled to its final form: per point, the block partials summed in block
+/// order, divided by the iteration count for the mean (hits stay counts).
+/// The unsharded run and the shard merge both end here, so a merged race
+/// equals the unsharded one by construction.
+void fold_race_blocks(io::BenchReport& r) {
+  const std::size_t n_points = r.sizes.size();
+  for (auto& series : r.series) {
+    const bool tracked = !series.block_hits.empty();
+    series.makespan_s.assign(n_points, 0.0);
+    if (tracked) series.hits.assign(n_points, 0.0);
+    for (std::size_t p = 0; p < n_points; ++p) {
+      double total = 0.0;
+      for (const double sum : series.block_sum_s[p]) total += sum;
+      series.makespan_s[p] = total / static_cast<double>(r.iterations);
+      if (tracked) {
+        double hits = 0.0;
+        for (const double h : series.block_hits[p]) hits += h;
+        series.hits[p] = hits;
+      }
+    }
+    series.block_sum_s.clear();
+    series.block_hits.clear();
+  }
+  r.shards = 1;
+  r.shard = 0;
+  r.block_iters = 0;
+}
+
 /// The paper's seven heuristics — the race default when no --sched list is
 /// given (`--sched=all` would pull in shape-gated and ablation entries,
 /// which a hit-rate race must refuse, not skip).
@@ -423,10 +466,8 @@ io::BenchReport run_race_grid(const RaceGridSpec& spec, ThreadPool& pool) {
     }
   }
 
-  sched::HeuristicOptions opts;
-  opts.completion = spec.completion;
   const std::vector<sched::Scheduler> comps =
-      resolve_competitors(spec.sched_names, opts);
+      resolve_competitors(spec.sched_names, spec.options);
 
   auto& registry = collective::backend_registry();
   const std::string backend_name = registry.resolve(spec.backend);
@@ -538,17 +579,17 @@ io::BenchReport run_race_grid(const RaceGridSpec& spec, ThreadPool& pool) {
               inst = &*derived;
             }
 
-            // Every competitor was resolved with `opts`, so one info (and
-            // one O(n²) lower-bound walk) serves the whole field.
+            // Every competitor was resolved with `spec.options`, so one
+            // info (and one O(n²) lower-bound walk) serves the whole field.
             memo.clear();
             const sched::SchedulerRuntimeInfo info(
-                *inst, spec.realise ? MiB(1) : Bytes{0}, opts.completion,
-                &memo);
+                *inst, spec.realise ? MiB(1) : Bytes{0},
+                spec.options.completion, &memo);
             Time best = std::numeric_limits<Time>::infinity();
             for (std::size_t s = 0; s < n_comps; ++s) {
-              // Same contract as exp::run_race: a race cannot skip a
-              // refusing entry per iteration without skewing the hit-rate
-              // denominator, so a refusal is a designed error.
+              // A race cannot skip a refusing entry per iteration without
+              // skewing the hit-rate denominator, so a refusal is a
+              // designed error.
               if (!comps[s].entry().can_schedule(info))
                 throw InvalidInput(
                     "scheduler '" + std::string(comps[s].name()) +
@@ -579,32 +620,9 @@ io::BenchReport run_race_grid(const RaceGridSpec& spec, ThreadPool& pool) {
         }
       });
 
-  // Unsharded runs reduce to the final form directly, folding blocks in
-  // block order — the exact computation merge_race_grid_shards performs —
-  // so a merged shard set is byte-identical to this.
-  if (spec.shard.shards == 1) {
-    for (std::size_t s = 0; s < n_series; ++s) {
-      auto& series = r.series[s];
-      series.makespan_s.assign(n_points, 0.0);
-      if (s < n_comps) series.hits.assign(n_points, 0.0);
-      for (std::size_t p = 0; p < n_points; ++p) {
-        double total = 0.0;
-        for (std::size_t b = 0; b < n_blocks; ++b)
-          total += series.block_sum_s[p][b];
-        series.makespan_s[p] =
-            total / static_cast<double>(spec.iterations);
-        if (s < n_comps) {
-          double h = 0.0;
-          for (std::size_t b = 0; b < n_blocks; ++b)
-            h += series.block_hits[p][b];
-          series.hits[p] = h;
-        }
-      }
-      series.block_sum_s.clear();
-      series.block_hits.clear();
-    }
-    r.block_iters = 0;
-  }
+  // Unsharded runs reduce to the final form directly, through the fold
+  // merge_race_grid_shards ends in.
+  if (spec.shard.shards == 1) fold_race_blocks(r);
   return r;
 }
 
@@ -669,22 +687,15 @@ io::BenchReport merge_race_grid_shards(
     }
   }
 
+  // Gather every (point, block) partial from its owning shard, then fold
+  // exactly as an unsharded run does.
   const std::size_t n_points = ref.sizes.size();
   const std::size_t n_blocks = ref.block_count();
-
   io::BenchReport out = ref;
-  out.shards = 1;
-  out.shard = 0;
-  out.block_iters = 0;
   for (std::size_t s = 0; s < out.series.size(); ++s) {
     auto& series = out.series[s];
     const bool tracked = !series.block_hits.empty();
-    series.makespan_s.assign(n_points, 0.0);
-    if (tracked) series.hits.assign(n_points, 0.0);
-
     for (std::size_t p = 0; p < n_points; ++p) {
-      double total = 0.0;
-      double hit_total = 0.0;
       for (std::size_t b = 0; b < n_blocks; ++b) {
         const std::size_t cell = p * n_blocks + b;
         const std::size_t owner = cell % n;
@@ -707,16 +718,12 @@ io::BenchReport merge_race_grid_shards(
           throw InvalidInput("merge: cell (clusters " +
                              std::to_string(ref.sizes[p]) + ", block " +
                              std::to_string(b) + ") was never computed");
-        total += sum;
-        if (tracked) hit_total += hit;
+        series.block_sum_s[p][b] = sum;
+        if (tracked) series.block_hits[p][b] = hit;
       }
-      series.makespan_s[p] =
-          total / static_cast<double>(ref.iterations);
-      if (tracked) series.hits[p] = hit_total;
     }
-    series.block_sum_s.clear();
-    series.block_hits.clear();
   }
+  fold_race_blocks(out);
   return out;
 }
 
@@ -807,12 +814,14 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
     } else if (key == "--baseline") {
       cli.baseline_path = value_of(arg);
     } else if (key == "--rtol") {
-      cli.tolerances.makespan_rtol = parse_double(value_of(arg), "--rtol");
+      cli.tolerances.makespan_rtol =
+          parse_tolerance(value_of(arg), "--rtol", /*zero_ok=*/true);
     } else if (key == "--wall-tol") {
-      cli.tolerances.wall_factor = parse_double(value_of(arg), "--wall-tol");
+      cli.tolerances.wall_factor =
+          parse_tolerance(value_of(arg), "--wall-tol", /*zero_ok=*/false);
     } else if (key == "--throughput-tol") {
-      cli.tolerances.throughput_factor =
-          parse_double(value_of(arg), "--throughput-tol");
+      cli.tolerances.throughput_factor = parse_tolerance(
+          value_of(arg), "--throughput-tol", /*zero_ok=*/false);
     } else if (key == "--sched") {
       const std::string v = value_of(arg);
       if (lower(v) == "all") {
@@ -842,12 +851,9 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
       cli.grid_arg = value_of(arg);
     } else if (key == "--root") {
       cli.spec.root = parse_cluster_id(value_of(arg), "--root");
-    } else if (key == "--backend" || key == "--mode") {
-      // --mode is the legacy spelling: "predicted"/"measured" are
-      // registered aliases of the "plogp"/"sim" backends, so both flags
-      // are one code path into the backend registry.  resolve() throws
-      // at parse time for typos, listing what is registered, and stores
-      // the canonical name.
+    } else if (key == "--backend") {
+      // resolve() throws at parse time for typos, listing what is
+      // registered, and stores the canonical name ("measured" -> "sim").
       cli.spec.backend = collective::backend_registry().resolve(value_of(arg));
     } else if (arg == "--list-backends") {
       cli.action = RaceCli::Action::kListBackends;
@@ -863,9 +869,14 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
             "--completion must be 'eager' or 'after-last-send', got '" +
             value_of(arg) + "'");
     } else if (key == "--jitter") {
-      cli.spec.jitter = parse_double(value_of(arg), "--jitter");
-      if (cli.spec.jitter < 0)
-        throw InvalidInput("--jitter must be >= 0");
+      const std::string v = value_of(arg);
+      cli.spec.jitter = parse_double(v, "--jitter");
+      if (!sim::JitterConfig{cli.spec.jitter}.valid()) {
+        std::ostringstream msg;
+        msg << "--jitter must be in [0, " << sim::JitterConfig::kMaxFrac
+            << "), got '" << v << "'";
+        throw InvalidInput(msg.str());
+      }
     } else if (key == "--seed") {
       cli.spec.seed = parse_u64(value_of(arg), "--seed");
     } else if (key == "--threads") {
@@ -933,7 +944,7 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
     cli.race.seed = cli.spec.seed;
     cli.race.root = cli.spec.root;
     cli.race.backend = cli.spec.backend;
-    cli.race.completion = cli.spec.completion;
+    cli.race.options.completion = cli.spec.completion;
     cli.race.jitter = cli.spec.jitter;
     cli.race.shard = cli.spec.shard;
     if (!positionals.empty())
@@ -1142,8 +1153,7 @@ std::string race_cli_usage() {
       "                [--rtol=1e-6] [--wall-tol=10] [--throughput-tol=10]\n"
       "  gridcast_race --list-backends\n"
       "(--race runs the Figs. 1-4 Monte-Carlo races over random Table 2\n"
-      " instances; grid-executing backends need --realise.  --mode=\n"
-      " predicted|measured remains as an alias of --backend.  --verb races\n"
+      " instances; grid-executing backends need --realise.  --verb races\n"
       " the two-level scatter/alltoall instead of the broadcast: sizes are\n"
       " then per-rank (scatter) / per-rank-pair (alltoall) blocks.\n"
       " --sched-cost also times each competitor's per-selection cost\n"

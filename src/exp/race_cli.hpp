@@ -28,11 +28,10 @@
 /// logic: any list of registered scheduler names races over a message-size
 /// ladder on any grid, through any registered collective backend —
 /// `--backend=plogp` (analytic model) or `--backend=sim` (discrete-event
-/// simulator) replace the old predicted/measured mode fork, whose
-/// spellings survive as backend aliases — optionally sharded across
-/// processes.  Everything lives in the library — the tool is a thin
-/// `main` — so argument parsing, shard partitioning, merging and the
-/// baseline gate are unit-testable.
+/// simulator), whose legacy "predicted"/"measured" spellings survive as
+/// backend aliases — optionally sharded across processes.  Everything
+/// lives in the library — the tool is a thin `main` — so argument parsing,
+/// shard partitioning, merging and the baseline gate are unit-testable.
 namespace gridcast::exp {
 
 /// What to race.  `sched_names` are scheduler-registry names (canonical or
@@ -118,11 +117,17 @@ struct RaceGridSpec {
   std::uint64_t seed = 42;
   ClusterId root = 0;
   std::string backend = "plogp";
-  sched::CompletionModel completion = sched::CompletionModel::kEager;
+  /// Every competitor is resolved with these options, and the draws are
+  /// scored under `options.completion`.  Draws depend only on (seed,
+  /// cluster count, iteration), so races that differ only in options see
+  /// the same instances.
+  sched::HeuristicOptions options = {};
   double jitter = 0.05;  ///< executing backends only
   bool realise = false;  ///< execute draws on synthetic grid realisations
   ParamRanges ranges = ParamRanges::paper();
-  /// Relative tie tolerance for hit counting (montecarlo.hpp semantics).
+  /// Relative tie tolerance for hit counting: a series hits a draw when
+  /// its completion is within `best * (1 + hit_epsilon)`.  Every series
+  /// inside the band is credited, so exact ties credit every achiever.
   double hit_epsilon = 1e-9;
   ShardSpec shard = {};
 };

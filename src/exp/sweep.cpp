@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "collective/backends.hpp"
 #include "support/error.hpp"
 
 namespace gridcast::exp {
@@ -47,6 +46,24 @@ std::uint64_t measured_cell_seed(std::uint64_t seed, std::size_t size_index,
   return z ^ (z >> 31);
 }
 
+bool verb_accepts(const sched::Scheduler& comp, collective::Verb verb,
+                  InstanceCache& cache, ClusterId root, Bytes m) {
+  const bool all_roots = verb == collective::Verb::kAlltoall;
+  const ClusterId first = all_roots ? 0 : root;
+  const auto count =
+      all_roots ? static_cast<ClusterId>(cache.grid().cluster_count()) : 1;
+  const sched::CompletionModel completion =
+      verb == collective::Verb::kBcast ? comp.options().completion
+                                       : sched::CompletionModel::kEager;
+  for (ClusterId k = 0; k < count; ++k) {
+    const InstancePtr inst = cache.get(first + k, m);
+    if (!comp.entry().can_schedule(
+            sched::SchedulerRuntimeInfo(*inst, m, completion)))
+      return false;
+  }
+  return true;
+}
+
 SweepResult backend_sweep(const collective::Backend& backend,
                           InstanceCache& cache, ClusterId root,
                           const std::vector<sched::Scheduler>& comps,
@@ -61,63 +78,36 @@ SweepResult backend_sweep(const collective::Backend& backend,
                        "' does not support verb '" +
                        std::string(collective::verb_name(verb)) + "'");
 
-  // The all-to-all executes one schedule per root cluster, so its gate
-  // must probe every root; broadcast and scatter schedule from `root`
-  // alone.
-  std::vector<ClusterId> gate_roots;
-  if (verb == collective::Verb::kAlltoall) {
-    const auto n = static_cast<ClusterId>(cache.grid().cluster_count());
-    for (ClusterId c = 0; c < n; ++c) gate_roots.push_back(c);
-  } else {
-    gate_roots.push_back(root);
-  }
-
-  // Derive every (root, size) instance up front in parallel: the gate
-  // below must see all of them so every shard computes the same verdict (a
-  // series is either fully present or absent).  This costs a sharded run
-  // the full ladder's derivations per process where the cell loop alone
-  // would pay ~1/shards of them — accepted: one derivation is O(clusters²)
-  // gap evaluations, orders of magnitude below a single simulated cell,
-  // and the cells are what sharding exists to distribute.
-  pool.parallel_for(
-      sizes.size() * gate_roots.size(), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-          (void)cache.get(gate_roots[i % gate_roots.size()],
-                          sizes[i / gate_roots.size()]);
-      });
-
-  // Gate: a competitor races only if it can schedule *every* instance of
-  // the ladder, so a series is either fully present or absent and shard
+  // Gate: a competitor races only if it accepts *every* size of the
+  // ladder, so a series is either fully present or absent and shard
   // merging stays rectangular.  Grid-shape-specialised entries (LAN-only,
   // star-WAN) drop out here on grids they were not built for — skipped,
-  // not raced.  Every shard computes the same gate (derivation is
-  // deterministic), so the cell partition below agrees across shards.
+  // not raced.  Every shard derives and gates the whole ladder
+  // (derivation is deterministic, so the cell partition below agrees
+  // across shards) where the cell loop alone would pay ~1/shards of the
+  // derivations — accepted: one derivation is O(clusters²) gap
+  // evaluations, orders of magnitude below a single simulated cell, and
+  // the cells are what sharding exists to distribute.  One task per size,
+  // so each instance is derived exactly once.
+  const std::size_t n_comps = comps.size();
+  std::vector<char> accepted(sizes.size() * n_comps);
+  pool.parallel_for(sizes.size(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i)
+      for (std::size_t c = 0; c < n_comps; ++c)
+        accepted[i * n_comps + c] =
+            verb_accepts(comps[c], verb, cache, root, sizes[i]) ? 1 : 0;
+  });
   SweepResult out;
   std::vector<const sched::Scheduler*> raced;
-  raced.reserve(comps.size());
-  for (const auto& comp : comps) {
+  raced.reserve(n_comps);
+  for (std::size_t c = 0; c < n_comps; ++c) {
     bool ok = true;
-    for (std::size_t i = 0; ok && i < sizes.size(); ++i) {
-      for (const ClusterId r : gate_roots) {
-        const InstancePtr inst = cache.get(r, sizes[i]);
-        // Probe with the info the verb path will build: the competitor's
-        // completion model for broadcasts, the default (eager) model for
-        // scatter/alltoall — their order derivations construct exactly
-        // that (scatter_wan_order / alltoall_dest_order), and a gate that
-        // disagreed with their can_schedule assert would skip-vs-die
-        // inconsistently.
-        const sched::SchedulerRuntimeInfo info(
-            *inst, sizes[i],
-            verb == collective::Verb::kBcast ? comp.options().completion
-                                             : sched::CompletionModel::kEager);
-        ok = comp.entry().can_schedule(info);
-        if (!ok) break;
-      }
-    }
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+      ok = ok && accepted[i * n_comps + c] != 0;
     if (ok)
-      raced.push_back(&comp);
+      raced.push_back(&comps[c]);
     else
-      out.skipped.emplace_back(comp.name());
+      out.skipped.emplace_back(comps[c].name());
   }
   if (raced.empty()) {
     std::string who;
@@ -193,55 +183,6 @@ SweepResult backend_sweep(const collective::Backend& backend,
         }
       });
   return out;
-}
-
-SweepResult predicted_sweep(InstanceCache& cache, ClusterId root,
-                            const std::vector<sched::Scheduler>& comps,
-                            std::span<const Bytes> sizes, ThreadPool& pool,
-                            ShardSpec shard) {
-  const collective::PlogpBackend backend;
-  return backend_sweep(backend, cache, root, comps, sizes, /*seed=*/0, pool,
-                       shard);
-}
-
-SweepResult predicted_sweep(const topology::Grid& grid, ClusterId root,
-                            const std::vector<sched::Scheduler>& comps,
-                            std::span<const Bytes> sizes, ThreadPool& pool) {
-  InstanceCache cache(grid);
-  return predicted_sweep(cache, root, comps, sizes, pool);
-}
-
-SweepResult predicted_sweep(const topology::Grid& grid, ClusterId root,
-                            const std::vector<sched::Scheduler>& comps,
-                            std::span<const Bytes> sizes) {
-  ThreadPool inline_pool(0);
-  return predicted_sweep(grid, root, comps, sizes, inline_pool);
-}
-
-SweepResult measured_sweep(InstanceCache& cache, ClusterId root,
-                           const std::vector<sched::Scheduler>& comps,
-                           std::span<const Bytes> sizes,
-                           sim::JitterConfig jitter, std::uint64_t seed,
-                           ThreadPool& pool, ShardSpec shard) {
-  const collective::SimBackend backend(cache.grid(), jitter);
-  return backend_sweep(backend, cache, root, comps, sizes, seed, pool, shard);
-}
-
-SweepResult measured_sweep(const topology::Grid& grid, ClusterId root,
-                           const std::vector<sched::Scheduler>& comps,
-                           std::span<const Bytes> sizes,
-                           sim::JitterConfig jitter, std::uint64_t seed,
-                           ThreadPool& pool) {
-  InstanceCache cache(grid);
-  return measured_sweep(cache, root, comps, sizes, jitter, seed, pool);
-}
-
-SweepResult measured_sweep(const topology::Grid& grid, ClusterId root,
-                           const std::vector<sched::Scheduler>& comps,
-                           std::span<const Bytes> sizes,
-                           sim::JitterConfig jitter, std::uint64_t seed) {
-  ThreadPool inline_pool(0);
-  return measured_sweep(grid, root, comps, sizes, jitter, seed, inline_pool);
 }
 
 }  // namespace gridcast::exp

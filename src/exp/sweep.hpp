@@ -9,9 +9,7 @@
 #include "collective/backend.hpp"
 #include "exp/instance_cache.hpp"
 #include "sched/registry.hpp"
-#include "sim/network.hpp"
 #include "support/thread_pool.hpp"
-#include "topology/grid.hpp"
 
 /// Message-size sweeps over a concrete grid (Figs. 5 and 6).
 ///
@@ -21,8 +19,7 @@
 /// (the Fig. 5 curves), the "sim" backend executes every point-to-point
 /// message on the discrete-event simulator (the Fig. 6 substitute,
 /// DESIGN.md substitution table) and contributes the grid-unaware binomial
-/// baseline the paper labels "Default LAM".  The legacy predicted/measured
-/// entry points remain as thin wrappers over the two built-in backends.
+/// baseline the paper labels "Default LAM".
 namespace gridcast::exp {
 
 /// One strategy's series over the sweep sizes.
@@ -68,6 +65,19 @@ struct ShardSpec {
                                                std::size_t size_index,
                                                std::string_view series_name);
 
+/// The per-verb gate, shared by the sweeps and the plan daemon: whether
+/// `comp` can schedule every instance an m-byte `verb` cell schedules
+/// from.  All-to-all executes one schedule per root cluster, so it probes
+/// every root; broadcast and scatter probe `root` alone.  Each instance
+/// (derived through `cache`) is probed with the info the verb path builds:
+/// the competitor's completion model for broadcasts, eager for scatter and
+/// all-to-all (their order derivations construct exactly that, and a gate
+/// that disagreed with their can_schedule assert would skip-vs-die
+/// inconsistently).
+[[nodiscard]] bool verb_accepts(const sched::Scheduler& comp,
+                                collective::Verb verb, InstanceCache& cache,
+                                ClusterId root, Bytes m);
+
 /// Race `comps` over `sizes` through `backend`: completion per (size,
 /// series) cell, preceded by the backend's baseline comparator series when
 /// it has one (broadcast sweeps only — the comparator is a broadcast).
@@ -79,49 +89,13 @@ struct ShardSpec {
 /// identical for any worker count); instances are derived once per size
 /// through `cache` (whose grid must be the one `backend` executes on);
 /// per-cell seeds derive from `seed` via `measured_cell_seed`.
-/// Competitors whose `can_schedule` refuses any of the sweep's instances
-/// (every root's instance, for all-to-all) are skipped rather than raced
-/// (reported in `SweepResult::skipped`); when every competitor is skipped
-/// the sweep throws InvalidInput.
+/// Competitors that `verb_accepts` refuses at any size are skipped rather
+/// than raced (reported in `SweepResult::skipped`); when every competitor
+/// is skipped the sweep throws InvalidInput.
 [[nodiscard]] SweepResult backend_sweep(
     const collective::Backend& backend, InstanceCache& cache, ClusterId root,
     const std::vector<sched::Scheduler>& comps, std::span<const Bytes> sizes,
     std::uint64_t seed, ThreadPool& pool, ShardSpec shard = {},
     collective::Verb verb = collective::Verb::kBcast);
-
-/// Model-predicted completion per size and scheduler (Fig. 5) — the
-/// "plogp" backend.  The overloads without a cache build a private one;
-/// the overload without a pool runs inline.
-[[nodiscard]] SweepResult predicted_sweep(
-    InstanceCache& cache, ClusterId root,
-    const std::vector<sched::Scheduler>& comps, std::span<const Bytes> sizes,
-    ThreadPool& pool, ShardSpec shard = {});
-[[nodiscard]] SweepResult predicted_sweep(
-    const topology::Grid& grid, ClusterId root,
-    const std::vector<sched::Scheduler>& comps, std::span<const Bytes> sizes,
-    ThreadPool& pool);
-[[nodiscard]] SweepResult predicted_sweep(
-    const topology::Grid& grid, ClusterId root,
-    const std::vector<sched::Scheduler>& comps, std::span<const Bytes> sizes);
-
-/// Simulator-measured completion per size and scheduler, plus the
-/// "DefaultLAM" grid-unaware binomial series (Fig. 6) — the "sim" backend.
-/// `jitter` perturbs per-message gap/latency; `seed` drives it.  Every
-/// (size, series) cell simulates on its own Network seeded by
-/// `measured_cell_seed`, so the result is identical for any worker count
-/// *and* any competitor set.
-[[nodiscard]] SweepResult measured_sweep(
-    InstanceCache& cache, ClusterId root,
-    const std::vector<sched::Scheduler>& comps, std::span<const Bytes> sizes,
-    sim::JitterConfig jitter, std::uint64_t seed, ThreadPool& pool,
-    ShardSpec shard = {});
-[[nodiscard]] SweepResult measured_sweep(
-    const topology::Grid& grid, ClusterId root,
-    const std::vector<sched::Scheduler>& comps, std::span<const Bytes> sizes,
-    sim::JitterConfig jitter, std::uint64_t seed, ThreadPool& pool);
-[[nodiscard]] SweepResult measured_sweep(
-    const topology::Grid& grid, ClusterId root,
-    const std::vector<sched::Scheduler>& comps, std::span<const Bytes> sizes,
-    sim::JitterConfig jitter, std::uint64_t seed);
 
 }  // namespace gridcast::exp

@@ -90,17 +90,6 @@ PlanPtr PlanService::build_plan(const PlanSignature& sig) {
                        "(revision mismatch)");
   const Bytes m = bucket_floor(sig.size_bucket);
 
-  // The all-to-all executes one schedule per root cluster, so its gate
-  // must probe every root (exp::backend_sweep's rule); broadcast and
-  // scatter schedule from the signature root alone.
-  std::vector<ClusterId> gate_roots;
-  if (sig.verb == collective::Verb::kAlltoall) {
-    const auto n = static_cast<ClusterId>(grid_->cluster_count());
-    for (ClusterId c = 0; c < n; ++c) gate_roots.push_back(c);
-  } else {
-    gate_roots.push_back(sig.root);
-  }
-
   // One memo per build: a broadcast build's composites ("auto", "Mixed")
   // reuse the orders the loop below derived for their candidates and
   // delegates, and the plan's schedule is the winner's stored one.
@@ -114,23 +103,9 @@ PlanPtr PlanService::build_plan(const PlanSignature& sig) {
   Time best_completion = 0.0;
   std::vector<std::string> refused;
   for (const auto& comp : comps_) {
-    bool ok = true;
-    for (const ClusterId r : gate_roots) {
-      const exp::InstancePtr inst = instances_.get(r, m);
-      // Probe with the info the verb path builds: the competitor's
-      // completion model for broadcasts, eager for scatter/all-to-all
-      // (their order derivations construct exactly that).
-      const sched::SchedulerRuntimeInfo info(
-          *inst, m,
-          sig.verb == collective::Verb::kBcast
-              ? comp.options().completion
-              : sched::CompletionModel::kEager);
-      if (!comp.entry().can_schedule(info)) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) {
+    // The per-verb gate the sweeps apply too (all-to-all probes every
+    // root).
+    if (!exp::verb_accepts(comp, sig.verb, instances_, sig.root, m)) {
       refused.emplace_back(comp.name());
       continue;
     }

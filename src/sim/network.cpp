@@ -15,8 +15,7 @@ Network::Network(const topology::Grid& grid, JitterConfig jitter,
       n_clusters_(grid.cluster_count()),
       nic_free_(grid.total_nodes(), 0.0),
       memo_(kMemoSlots, MemoEntry{kEmptyPair, 0, 0.0, 0.0}) {
-  GRIDCAST_ASSERT(jitter_.frac >= 0.0 && jitter_.frac < 0.5,
-                  "jitter fraction out of range");
+  GRIDCAST_ASSERT(jitter_.valid(), "jitter fraction out of range");
   locate_.reserve(ranks_);
   for (NodeId r = 0; r < ranks_; ++r) locate_.push_back(grid.locate(r));
   pair_params_.reserve(n_clusters_ * n_clusters_);

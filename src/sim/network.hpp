@@ -31,9 +31,17 @@
 namespace gridcast::sim {
 
 /// Multiplicative noise on gap and latency, per message.  `frac = 0`
-/// reproduces the analytic model exactly (up to overheads).
+/// reproduces the analytic model exactly (up to overheads).  Valid
+/// fractions lie in [0, kMaxFrac): the Network asserts it, and
+/// `gridcast_race --jitter` rejects anything else at parse time.
 struct JitterConfig {
+  static constexpr double kMaxFrac = 0.5;
   double frac = 0.0;
+
+  /// False for negative, too large or NaN fractions.
+  [[nodiscard]] bool valid() const noexcept {
+    return frac >= 0.0 && frac < kMaxFrac;
+  }
 };
 
 /// Timing of one send as decided at issue time.

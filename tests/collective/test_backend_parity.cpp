@@ -306,7 +306,7 @@ std::string run_cli_to_string(const std::vector<std::string>& args) {
   return out.str();
 }
 
-TEST(BackendParity, BackendFlagReportsAreByteIdenticalToModeFlagReports) {
+TEST(BackendParity, AliasReportsAreByteIdenticalAndKeepTheModeField) {
   const std::vector<std::string> common = {
       "--sched=FlatTree,ECEF-LAT", "--sizes=256K,1M", "--seed=5",
       "--jitter=0.1", "--root=1"};
@@ -315,9 +315,9 @@ TEST(BackendParity, BackendFlagReportsAreByteIdenticalToModeFlagReports) {
     args.push_back(flag);
     return run_cli_to_string(args);
   };
-  // The old mode spellings and the new backend names are one code path.
-  EXPECT_EQ(with("--backend=sim"), with("--mode=measured"));
-  EXPECT_EQ(with("--backend=plogp"), with("--mode=predicted"));
+  // The legacy spellings are registry aliases of the backend names.
+  EXPECT_EQ(with("--backend=sim"), with("--backend=measured"));
+  EXPECT_EQ(with("--backend=plogp"), with("--backend=predicted"));
   // The report's mode field stays the legacy vocabulary.
   EXPECT_NE(with("--backend=sim").find("\"mode\": \"measured\""),
             std::string::npos);

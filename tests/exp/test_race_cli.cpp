@@ -32,10 +32,10 @@ TEST(RaceCliParse, DefaultsToFullRegistryRunOnGrid5000) {
   EXPECT_FALSE(cli.spec.wall);
 }
 
-TEST(RaceCliParse, SchedListSizesAndMode) {
+TEST(RaceCliParse, SchedListSizesAndBackend) {
   const RaceCli cli = parse_race_cli(
       {"--sched=FlatTree,ecef-lat", "--sizes=256K,1M,4MiB",
-       "--mode=measured", "--jitter=0.1", "--seed=9", "--root=2",
+       "--backend=measured", "--jitter=0.1", "--seed=9", "--root=2",
        "--out=x.json"});
   ASSERT_EQ(cli.spec.sched_names.size(), 2u);
   EXPECT_EQ(cli.spec.sched_names[1], "ecef-lat");
@@ -43,8 +43,8 @@ TEST(RaceCliParse, SchedListSizesAndMode) {
   EXPECT_EQ(cli.spec.sizes[0], KiB(256));
   EXPECT_EQ(cli.spec.sizes[1], MiB(1));
   EXPECT_EQ(cli.spec.sizes[2], MiB(4));
-  // "--mode=measured" survives as an alias of the "sim" backend and is
-  // stored canonically.
+  // "measured" survives as an alias of the "sim" backend and is stored
+  // canonically.
   EXPECT_EQ(cli.spec.backend, "sim");
   EXPECT_DOUBLE_EQ(cli.spec.jitter, 0.1);
   EXPECT_EQ(cli.spec.seed, 9u);
@@ -60,7 +60,14 @@ TEST(RaceCliParse, BackendFlagAndAliases) {
   // and canonicalise.
   EXPECT_EQ(parse_race_cli({"--backend=predicted"}).spec.backend, "plogp");
   EXPECT_EQ(parse_race_cli({"--backend=MEASURED"}).spec.backend, "sim");
-  EXPECT_EQ(parse_race_cli({"--mode=Sim"}).spec.backend, "sim");
+  // There is no --mode flag: the legacy names are registry aliases.
+  try {
+    (void)parse_race_cli({"--mode=measured"});
+    FAIL() << "expected InvalidInput";
+  } catch (const InvalidInput& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown option '--mode=measured'"),
+              std::string::npos);
+  }
   // Unknown backends fail at parse time, listing what is registered.
   try {
     (void)parse_race_cli({"--backend=mpi"});
@@ -97,7 +104,7 @@ TEST(RaceCliParse, RejectsBadInput) {
   EXPECT_THROW((void)parse_race_cli({"--nonsense"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--no-prune"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"stray.json"}), InvalidInput);
-  EXPECT_THROW((void)parse_race_cli({"--mode=both"}), InvalidInput);
+  EXPECT_THROW((void)parse_race_cli({"--backend=both"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--sizes=12Q"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--sizes=,1M"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--seed=ten"}), InvalidInput);
@@ -132,6 +139,32 @@ TEST(RaceCliParse, CheckNeedsBaseline) {
   EXPECT_DOUBLE_EQ(cli.tolerances.makespan_rtol, 1e-3);
   EXPECT_DOUBLE_EQ(cli.tolerances.wall_factor, 5.0);
   EXPECT_THROW((void)parse_race_cli({"--check=cur.json"}), InvalidInput);
+}
+
+TEST(RaceCliParse, CheckTolerancesCannotSwitchTheGateOff) {
+  // An infinite, NaN or negative tolerance (or a zero slack factor) would
+  // let any drift pass; each gets a one-line diagnostic instead.
+  for (const std::string bad : {"--rtol=-1", "--rtol=inf", "--rtol=nan",
+                                "--wall-tol=0", "--wall-tol=-1",
+                                "--wall-tol=inf", "--throughput-tol=0",
+                                "--throughput-tol=-1", "--throughput-tol=inf",
+                                "--throughput-tol=nan"}) {
+    try {
+      (void)parse_race_cli({"--check=c.json", "--baseline=b.json", bad});
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const InvalidInput& e) {
+      EXPECT_NE(std::string(e.what()).find("must be finite"),
+                std::string::npos)
+          << bad;
+      EXPECT_EQ(std::string(e.what()).find('\n'), std::string::npos) << bad;
+    }
+  }
+  const RaceCli cli =
+      parse_race_cli({"--check=c.json", "--baseline=b.json", "--rtol=0",
+                      "--wall-tol=25", "--throughput-tol=0.5"});
+  EXPECT_EQ(cli.tolerances.makespan_rtol, 0.0);
+  EXPECT_EQ(cli.tolerances.wall_factor, 25.0);
+  EXPECT_EQ(cli.tolerances.throughput_factor, 0.5);
 }
 
 TEST(RaceCliParse, SizeUnits) {
@@ -466,6 +499,100 @@ TEST(RaceGrid, HitsCreditEveryAchieverAndGlobalMinDominates) {
   }
 }
 
+TEST(RaceGrid, SingleCompetitorHitsEveryDrawAndIsTheGlobalMin) {
+  ThreadPool pool(0);
+  RaceGridSpec spec = tiny_race();
+  spec.sched_names = {"ECEF"};
+  const io::BenchReport r = run_race_grid(spec, pool);
+  ASSERT_EQ(r.series.size(), 2u);
+  for (std::size_t p = 0; p < r.sizes.size(); ++p) {
+    EXPECT_EQ(r.series[0].hits[p], static_cast<double>(r.iterations));
+    EXPECT_EQ(r.series[0].makespan_s[p], r.series[1].makespan_s[p]);
+  }
+}
+
+TEST(RaceGrid, AnotherSeedMovesTheMeans) {
+  ThreadPool pool(0);
+  RaceGridSpec spec = tiny_race();
+  const io::BenchReport a = run_race_grid(spec, pool);
+  spec.seed += 1;
+  const io::BenchReport b = run_race_grid(spec, pool);
+  for (std::size_t s = 0; s < a.series.size(); ++s)
+    EXPECT_NE(a.series[s].makespan_s, b.series[s].makespan_s)
+        << a.series[s].name;
+}
+
+TEST(RaceGrid, HitEpsilonBoundsTheTieBand) {
+  // hit_epsilon is *relative*: with an absurdly wide band every series
+  // "ties" the minimum on every draw; with a zero band only exact
+  // achievers count, and at least one always does.
+  ThreadPool pool(0);
+  RaceGridSpec spec = tiny_race();
+  spec.sched_names = {"FlatTree", "FEF", "ECEF", "ECEF-LAT", "BottomUp"};
+  spec.hit_epsilon = 1e6;
+  const io::BenchReport wide = run_race_grid(spec, pool);
+  for (std::size_t s = 0; s + 1 < wide.series.size(); ++s)
+    for (const double h : wide.series[s].hits)
+      EXPECT_EQ(h, static_cast<double>(wide.iterations))
+          << wide.series[s].name;
+
+  spec.hit_epsilon = 0.0;
+  const io::BenchReport tight = run_race_grid(spec, pool);
+  for (std::size_t p = 0; p < tight.sizes.size(); ++p) {
+    double total = 0.0;
+    for (std::size_t s = 0; s + 1 < tight.series.size(); ++s)
+      total += tight.series[s].hits[p];
+    EXPECT_GE(total, static_cast<double>(tight.iterations));
+  }
+}
+
+TEST(RaceGrid, EcefFamilyTiesPushHitsPastTheIterationCount) {
+  // Fig. 4's convention: a hit goes to *every* series that matches the
+  // draw's minimum, and the ECEF variants often build the same schedule.
+  ThreadPool pool(0);
+  RaceGridSpec spec = tiny_race();
+  spec.sched_names = {"ECEF", "ECEF-LA", "ECEF-LAt", "ECEF-LAT"};
+  spec.iterations = 200;
+  const io::BenchReport r = run_race_grid(spec, pool);
+  for (std::size_t p = 0; p < r.sizes.size(); ++p) {
+    double total = 0.0;
+    for (std::size_t s = 0; s + 1 < r.series.size(); ++s)
+      total += r.series[s].hits[p];
+    EXPECT_GT(total, static_cast<double>(r.iterations))
+        << r.sizes[p] << " clusters";
+  }
+}
+
+TEST(RaceGrid, OptionsReachTheEntriesButLeaveTheDrawsAlone) {
+  // The FEF-weight and BottomUp-policy ablations race each option set in
+  // its own call: FEF's means must move with the weight, while ECEF, which
+  // ignores it, must see the very same draws (bit-identical means).
+  ThreadPool pool(0);
+  RaceGridSpec spec = tiny_race();
+  spec.sched_names = {"FEF", "ECEF"};
+  spec.iterations = 50;
+  spec.options.fef_weight = sched::FefWeight::kLatencyOnly;
+  const io::BenchReport latency = run_race_grid(spec, pool);
+  spec.options.fef_weight = sched::FefWeight::kGapPlusLatency;
+  const io::BenchReport gap = run_race_grid(spec, pool);
+  EXPECT_NE(latency.series[0].makespan_s, gap.series[0].makespan_s);
+  EXPECT_EQ(latency.series[1].makespan_s, gap.series[1].makespan_s);
+}
+
+TEST(RaceGrid, FlatTreeTrailsFefWhichTrailsBottomUp) {
+  // Fig. 1's ordering at moderate scale.  (PaperShapes pins the ECEF
+  // family's lead.)
+  ThreadPool pool(0);
+  RaceGridSpec spec;
+  spec.sched_names = {"FlatTree", "FEF", "BottomUp"};
+  spec.cluster_counts = {10};
+  spec.iterations = 500;
+  spec.seed = 42;
+  const io::BenchReport r = run_race_grid(spec, pool);
+  EXPECT_GT(r.series[0].makespan_s[0], r.series[1].makespan_s[0]);
+  EXPECT_GT(r.series[1].makespan_s[0], r.series[2].makespan_s[0]);
+}
+
 TEST(RaceGrid, MergeRejectsBadShardSets) {
   ThreadPool pool(0);
   RaceGridSpec spec = tiny_race();
@@ -630,6 +757,29 @@ TEST(RaceCliErrors, RootAboveTheClusterIdRangeIsRejectedNotTruncated) {
                              "' is out of range (max 4294967295)\n");
     EXPECT_EQ(out.str(), "");
   }
+}
+
+TEST(RaceCliErrors, JitterOutsideItsRangeIsRejectedAtParseTime) {
+  // sim::Network asserts jitter in [0, 0.5): a value outside it must be
+  // a one-line usage error (exit 2) at parse time, never that assert's
+  // internal error (exit 3), in the sweep and the race form alike.
+  for (const std::string v : {"0.5", "0.7", "nan", "-0.1"}) {
+    for (const auto& form :
+         {std::vector<std::string>{"--backend=sim", "--sched=FlatTree",
+                                   "--sizes=1M"},
+          std::vector<std::string>{"--race", "--backend=sim", "--realise",
+                                   "--clusters=3", "--iters=2"}}) {
+      std::vector<std::string> args = form;
+      args.push_back("--jitter=" + v);
+      EXPECT_THROW((void)parse_race_cli(args), InvalidInput) << v;
+      std::ostringstream out, err;
+      EXPECT_EQ(cli_main(args, out, err), 2) << v;
+      EXPECT_EQ(err.str(), "gridcast_race: --jitter must be in [0, 0.5), "
+                           "got '" + v + "'\n");
+    }
+  }
+  EXPECT_DOUBLE_EQ(parse_race_cli({"--jitter=0.49"}).spec.jitter, 0.49);
+  EXPECT_DOUBLE_EQ(parse_race_cli({"--race", "--jitter=0"}).race.jitter, 0.0);
 }
 
 TEST(RaceCliDriver, RaceRunMergeAndCheckEndToEnd) {

@@ -4,10 +4,21 @@
 
 #include <cmath>
 
+#include "collective/backends.hpp"
 #include "topology/grid5000.hpp"
 
 namespace gridcast::exp {
 namespace {
+
+/// The GRID5000 testbed with an instance cache, an inline pool and both
+/// built-in backends (the simulator without jitter).
+struct Testbed {
+  topology::Grid grid = topology::grid5000_testbed();
+  InstanceCache cache{grid};
+  ThreadPool pool{0};
+  collective::PlogpBackend plogp;
+  collective::SimBackend sim{grid};
+};
 
 TEST(Sweep, DefaultLadderMatchesThePaperAxis) {
   // Fig. 5/6: 256 KiB steps from 256 KiB to 4 MiB — exactly 16 points.
@@ -21,10 +32,11 @@ TEST(Sweep, DefaultLadderMatchesThePaperAxis) {
 }
 
 TEST(Sweep, PredictedSeriesShapes) {
-  const auto grid = topology::grid5000_testbed();
+  Testbed tb;
   const auto comps = sched::paper_heuristics();
   const std::vector<Bytes> sizes{KiB(512), MiB(1), MiB(2)};
-  const SweepResult r = predicted_sweep(grid, 0, comps, sizes);
+  const SweepResult r =
+      backend_sweep(tb.plogp, tb.cache, 0, comps, sizes, 0, tb.pool);
   ASSERT_EQ(r.series.size(), comps.size());
   ASSERT_EQ(r.sizes.size(), 3u);
   for (const auto& s : r.series) {
@@ -35,19 +47,21 @@ TEST(Sweep, PredictedSeriesShapes) {
 }
 
 TEST(Sweep, PredictedNamesMatchSchedulers) {
-  const auto grid = topology::grid5000_testbed();
+  Testbed tb;
   const auto comps = sched::paper_heuristics();
   const std::vector<Bytes> sizes{MiB(1)};
-  const SweepResult r = predicted_sweep(grid, 0, comps, sizes);
+  const SweepResult r =
+      backend_sweep(tb.plogp, tb.cache, 0, comps, sizes, 0, tb.pool);
   EXPECT_EQ(r.series[0].name, "FlatTree");
   EXPECT_EQ(r.series[6].name, "BottomUp");
 }
 
 TEST(Sweep, MeasuredIncludesDefaultLam) {
-  const auto grid = topology::grid5000_testbed();
+  Testbed tb;
   const auto comps = sched::ecef_family();
   const std::vector<Bytes> sizes{KiB(512), MiB(1)};
-  const SweepResult r = measured_sweep(grid, 0, comps, sizes, {}, 1);
+  const SweepResult r =
+      backend_sweep(tb.sim, tb.cache, 0, comps, sizes, 1, tb.pool);
   ASSERT_EQ(r.series.size(), comps.size() + 1);
   EXPECT_EQ(r.series[0].name, "DefaultLAM");
   for (const auto& s : r.series) {
@@ -57,14 +71,16 @@ TEST(Sweep, MeasuredIncludesDefaultLam) {
 }
 
 TEST(Sweep, MeasuredTracksPredictedWithoutJitter) {
-  const auto grid = topology::grid5000_testbed();
+  Testbed tb;
   sched::HeuristicOptions opts;
   opts.completion = sched::CompletionModel::kAfterLastSend;
   const std::vector<sched::Scheduler> comps{
       sched::Scheduler("ECEF-LA", opts)};
   const std::vector<Bytes> sizes{MiB(1), MiB(4)};
-  const SweepResult pred = predicted_sweep(grid, 0, comps, sizes);
-  const SweepResult meas = measured_sweep(grid, 0, comps, sizes, {}, 1);
+  const SweepResult pred =
+      backend_sweep(tb.plogp, tb.cache, 0, comps, sizes, 0, tb.pool);
+  const SweepResult meas =
+      backend_sweep(tb.sim, tb.cache, 0, comps, sizes, 1, tb.pool);
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const double p = pred.series[0].completion[i];
     const double m = meas.series[1].completion[i];  // [0] is DefaultLAM
@@ -78,14 +94,18 @@ TEST(Sweep, MeasuredTracksPredictedWithoutJitter) {
 TEST(Sweep, ThreadedSweepMatchesInline) {
   // Sweeps dispatch across the pool; any worker count must produce
   // exactly the inline result.
-  const auto grid = topology::grid5000_testbed();
+  Testbed tb;
+  const collective::SimBackend sim(tb.grid, {0.05});
   const auto comps = sched::ecef_family();
   const std::vector<Bytes> sizes{KiB(512), MiB(1), MiB(2)};
   ThreadPool pool(3);
-  const SweepResult pi = predicted_sweep(grid, 0, comps, sizes);
-  const SweepResult pt = predicted_sweep(grid, 0, comps, sizes, pool);
-  const SweepResult mi = measured_sweep(grid, 0, comps, sizes, {0.05}, 9);
-  const SweepResult mt = measured_sweep(grid, 0, comps, sizes, {0.05}, 9, pool);
+  const SweepResult pi =
+      backend_sweep(tb.plogp, tb.cache, 0, comps, sizes, 0, tb.pool);
+  const SweepResult pt =
+      backend_sweep(tb.plogp, tb.cache, 0, comps, sizes, 0, pool);
+  const SweepResult mi =
+      backend_sweep(sim, tb.cache, 0, comps, sizes, 9, tb.pool);
+  const SweepResult mt = backend_sweep(sim, tb.cache, 0, comps, sizes, 9, pool);
   for (std::size_t s = 0; s < pi.series.size(); ++s)
     EXPECT_EQ(pi.series[s].completion, pt.series[s].completion);
   for (std::size_t s = 0; s < mi.series.size(); ++s)
@@ -98,16 +118,19 @@ TEST(Sweep, MeasuredSeriesInvariantUnderCompetitorSetGrowth) {
   // silently reseeded every existing series, DefaultLAM included.  Seeds
   // now come from (size index, series name), so a series' results cannot
   // depend on who else is racing.
-  const auto grid = topology::grid5000_testbed();
+  Testbed tb;
   const std::vector<Bytes> sizes{KiB(512), MiB(1), MiB(2)};
-  const sim::JitterConfig jitter{0.10};  // large enough to expose reseeding
+  // Jitter large enough to expose reseeding.
+  const collective::SimBackend sim(tb.grid, {0.10});
   const std::vector<sched::Scheduler> small{sched::Scheduler("ECEF-LA")};
   const std::vector<sched::Scheduler> big{
       sched::Scheduler("ECEF-LA"), sched::Scheduler("FlatTree"),
       sched::Scheduler("BottomUp")};
 
-  const SweepResult a = measured_sweep(grid, 0, small, sizes, jitter, 7);
-  const SweepResult b = measured_sweep(grid, 0, big, sizes, jitter, 7);
+  const SweepResult a =
+      backend_sweep(sim, tb.cache, 0, small, sizes, 7, tb.pool);
+  const SweepResult b =
+      backend_sweep(sim, tb.cache, 0, big, sizes, 7, tb.pool);
 
   ASSERT_EQ(a.series[0].name, "DefaultLAM");
   ASSERT_EQ(b.series[0].name, "DefaultLAM");
@@ -119,7 +142,8 @@ TEST(Sweep, MeasuredSeriesInvariantUnderCompetitorSetGrowth) {
   const std::vector<sched::Scheduler> reordered{
       sched::Scheduler("BottomUp"), sched::Scheduler("ECEF-LA"),
       sched::Scheduler("FlatTree")};
-  const SweepResult c = measured_sweep(grid, 0, reordered, sizes, jitter, 7);
+  const SweepResult c =
+      backend_sweep(sim, tb.cache, 0, reordered, sizes, 7, tb.pool);
   EXPECT_EQ(c.series[2].completion, b.series[1].completion);  // ECEF-LA
   EXPECT_EQ(c.series[1].completion, b.series[3].completion);  // BottomUp
 }
@@ -135,19 +159,18 @@ TEST(Sweep, MeasuredCellSeedsDisperse) {
 }
 
 TEST(Sweep, ShardedCellsUnionToTheUnshardedResult) {
-  const auto grid = topology::grid5000_testbed();
+  Testbed tb;
+  const collective::SimBackend sim(tb.grid, {0.05});
   const auto comps = sched::ecef_family();
   const std::vector<Bytes> sizes{KiB(512), MiB(1)};
-  ThreadPool pool(0);
-  InstanceCache cache(grid);
   const SweepResult full =
-      measured_sweep(cache, 0, comps, sizes, {0.05}, 3, pool);
+      backend_sweep(sim, tb.cache, 0, comps, sizes, 3, tb.pool);
 
   const std::size_t n_series = comps.size() + 1;
   std::vector<SweepResult> parts;
   for (std::size_t k = 0; k < 2; ++k)
     parts.push_back(
-        measured_sweep(cache, 0, comps, sizes, {0.05}, 3, pool, {2, k}));
+        backend_sweep(sim, tb.cache, 0, comps, sizes, 3, tb.pool, {2, k}));
 
   for (std::size_t s = 0; s < n_series; ++s) {
     for (std::size_t i = 0; i < sizes.size(); ++i) {
@@ -160,12 +183,14 @@ TEST(Sweep, ShardedCellsUnionToTheUnshardedResult) {
 }
 
 TEST(Sweep, EmptyInputsRejected) {
-  const auto grid = topology::grid5000_testbed();
+  Testbed tb;
   const std::vector<Bytes> sizes{MiB(1)};
-  EXPECT_THROW((void)predicted_sweep(grid, 0, {}, sizes), LogicError);
   EXPECT_THROW(
-      (void)predicted_sweep(grid, 0, sched::paper_heuristics(), {}),
+      (void)backend_sweep(tb.plogp, tb.cache, 0, {}, sizes, 0, tb.pool),
       LogicError);
+  EXPECT_THROW((void)backend_sweep(tb.plogp, tb.cache, 0,
+                                   sched::paper_heuristics(), {}, 0, tb.pool),
+               LogicError);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "clustering/lowekamp.hpp"
 #include "clustering/node_matrix.hpp"
+#include "collective/backends.hpp"
 #include "collective/bcast.hpp"
 #include "exp/sweep.hpp"
 #include "plogp/fit.hpp"
@@ -70,8 +71,12 @@ TEST(EndToEnd, PredictionsTrackSimulatedExecution) {
   const auto comps = sched::paper_heuristics(opts);
   const std::vector<Bytes> sizes{MiB(1), MiB(4)};
 
-  const auto pred = exp::predicted_sweep(grid, 0, comps, sizes);
-  const auto meas = exp::measured_sweep(grid, 0, comps, sizes, {}, 1);
+  exp::InstanceCache cache(grid);
+  ThreadPool pool(0);
+  const auto pred = exp::backend_sweep(collective::PlogpBackend(), cache, 0,
+                                       comps, sizes, 0, pool);
+  const auto meas = exp::backend_sweep(collective::SimBackend(grid), cache, 0,
+                                       comps, sizes, 1, pool);
 
   for (std::size_t s = 0; s < comps.size(); ++s) {
     for (std::size_t i = 0; i < sizes.size(); ++i) {

@@ -13,8 +13,8 @@
 //   gridcast_race --list-backends
 //
 // --backend selects the collective backend by registry name ("plogp" =
-// analytic model, "sim" = discrete-event simulator; --mode=predicted|
-// measured remains as an alias spelling).  Sharded runs partition the
+// analytic model, "sim" = discrete-event simulator; "predicted" and
+// "measured" are registry aliases of the two).  Sharded runs partition the
 // (size x series) cell grid — or, in race mode, the (parameter-point x
 // iteration-block) grid — deterministically, and --merge recombines shard
 // outputs byte-identically to an unsharded run.  --check is the CI
