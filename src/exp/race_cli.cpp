@@ -1,6 +1,7 @@
 #include "exp/race_cli.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <chrono>
@@ -11,8 +12,10 @@
 #include <optional>
 #include <ostream>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 
 #include "collective/backend.hpp"
 #include "exp/realise.hpp"
@@ -93,6 +96,24 @@ std::string lower(std::string s) {
   return s;
 }
 
+/// Seconds per call of `f`: the minimum of ten timed calls after one
+/// warm-up — the standard robust estimator, so the number is comparable
+/// run over run and across CI machines.
+template <typename F>
+double min_seconds(F f) {
+  constexpr int kPasses = 10;
+  double best = std::numeric_limits<double>::infinity();
+  for (int pass = -1; pass < kPasses; ++pass) {  // -1 = warm-up
+    const auto t0 = std::chrono::steady_clock::now();
+    f();
+    const double dt = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    if (pass >= 0) best = std::min(best, dt);
+  }
+  return best;
+}
+
 }  // namespace
 
 Bytes parse_size(const std::string& token) {
@@ -146,18 +167,12 @@ io::BenchReport run_race_sweep(InstanceCache& cache,
                                const std::string& grid_name,
                                const RaceSpec& spec, ThreadPool& pool,
                                std::vector<std::string>* skipped) {
-  using clock = std::chrono::steady_clock;
-
   if (spec.sched_names.empty())
     throw InvalidInput("no schedulers selected (use --sched=a,b,c or all)");
-  if (spec.wall && spec.shard.shards > 1)
-    throw InvalidInput(
-        "--wall requires an unsharded run (wall time is machine-local and "
-        "would break shard-merge byte-identity)");
-  if (spec.sched_cost && spec.shard.shards > 1)
-    throw InvalidInput(
-        "--sched-cost requires an unsharded run (selection cost is "
-        "machine-local and would break shard-merge byte-identity)");
+  if ((spec.wall || spec.sched_cost) && spec.shard.shards > 1)
+    throw InvalidInput(std::string(spec.wall ? "--wall" : "--sched-cost") +
+                       " requires an unsharded run (timings are machine-local "
+                       "and would break shard-merge byte-identity)");
   spec.shard.validate();
 
   sched::HeuristicOptions opts;
@@ -199,152 +214,42 @@ io::BenchReport run_race_sweep(InstanceCache& cache,
     r.series.push_back(std::move(row));
   }
 
-  if (spec.wall) {
+  if (spec.wall || spec.sched_cost) {
     // Scheduling cost only (the paper's Section 7 complexity concern):
-    // instances come pre-derived from the cache, the loop runs
-    // single-threaded, and we keep the *minimum* of several passes — the
-    // standard robust estimator — so the number is comparable run over
-    // run and across CI machines.  Series are matched by name: the
-    // backend's baseline row (which schedules nothing) and any gated-out
-    // competitor have no wall time.
-    constexpr int kWallPasses = 10;
+    // instances come pre-derived from the cache and the loops run
+    // single-threaded.  Series are matched by name: the backend's baseline
+    // row (which schedules nothing) and any gated-out competitor have no
+    // timings.
     for (const Bytes m : sizes) (void)cache.get(spec.root, m);
     for (const auto& comp : comps) {
-      io::BenchSeries* series = nullptr;
-      for (auto& s : r.series)
-        if (s.name == comp.name()) series = &s;
-      if (series == nullptr) continue;  // gated out
-      double best = std::numeric_limits<double>::infinity();
-      for (int pass = -1; pass < kWallPasses; ++pass) {  // -1 = warmup
-        const auto t0 = clock::now();
-        for (const Bytes m : sizes)
-          (void)comp.makespan(*cache.get(spec.root, m));
-        const double dt =
-            std::chrono::duration<double>(clock::now() - t0).count();
-        if (pass >= 0) best = std::min(best, dt);
-      }
-      series->wall_time_s = best;
-    }
-  }
-
-  if (spec.sched_cost) {
-    // Per-selection cost at every ladder point: how long one `order()`
-    // call takes, min over passes like the wall loop.  This is the budget
-    // that keeps composite selectors ("auto") honest — their selection
-    // walks the whole registry, and the baseline gate bounds that walk
-    // one-sided via `micro_scheduling_cost_s`.  Cells a competitor never
-    // scheduled (it was gated out at that point, or it is the backend's
-    // baseline row) stay NaN and the gate skips them.
-    constexpr int kCostPasses = 10;
-    for (const Bytes m : sizes) (void)cache.get(spec.root, m);
-    for (const auto& comp : comps) {
-      io::BenchSeries* series = nullptr;
-      for (auto& s : r.series)
-        if (s.name == comp.name()) series = &s;
-      if (series == nullptr) continue;  // gated out
+      const auto series = std::find_if(
+          r.series.begin(), r.series.end(),
+          [&](const io::BenchSeries& s) { return s.name == comp.name(); });
+      if (series == r.series.end()) continue;  // gated out
+      if (spec.wall)
+        series->wall_time_s = min_seconds([&] {
+          for (const Bytes m : sizes)
+            (void)comp.makespan(*cache.get(spec.root, m));
+        });
+      if (!spec.sched_cost) continue;
+      // Per-selection cost at every ladder point: how long one `order()`
+      // call takes.  This is the budget that keeps composite selectors
+      // ("auto") honest — their selection walks the whole registry, and
+      // the baseline gate bounds that walk one-sided via
+      // `micro_scheduling_cost_s`.  Cells a competitor never scheduled (it
+      // was gated out at that point) stay NaN and the gate skips them.
       series->micro_scheduling_cost_s.assign(sizes.size(), kNaN);
       for (std::size_t i = 0; i < sizes.size(); ++i) {
         const sched::SchedulerRuntimeInfo info(
             *cache.get(spec.root, sizes[i]), sizes[i],
             comp.options().completion);
-        if (!comp.entry().can_schedule(info)) continue;
-        double best = std::numeric_limits<double>::infinity();
-        for (int pass = -1; pass < kCostPasses; ++pass) {  // -1 = warmup
-          const auto t0 = clock::now();
-          (void)comp.order(info);
-          const double dt =
-              std::chrono::duration<double>(clock::now() - t0).count();
-          if (pass >= 0) best = std::min(best, dt);
-        }
-        series->micro_scheduling_cost_s[i] = best;
+        if (comp.entry().can_schedule(info))
+          series->micro_scheduling_cost_s[i] =
+              min_seconds([&] { (void)comp.order(info); });
       }
     }
   }
   return r;
-}
-
-io::BenchReport merge_race_shards(const std::vector<io::BenchReport>& shards) {
-  if (shards.empty()) throw InvalidInput("merge: no shard reports given");
-  const io::BenchReport& ref = shards.front();
-  if (ref.is_montecarlo())
-    throw InvalidInput(
-        "merge: Monte-Carlo race shards go through merge_race_grid_shards");
-  const std::size_t n = ref.shards;
-  if (shards.size() != n)
-    throw InvalidInput("merge: report declares " + std::to_string(n) +
-                       " shards but " + std::to_string(shards.size()) +
-                       " files were given");
-
-  std::set<std::size_t> indices;
-  for (const auto& s : shards) {
-    if (s.bench != ref.bench || s.grid != ref.grid || s.mode != ref.mode ||
-        s.verb != ref.verb || s.root != ref.root || s.sizes != ref.sizes)
-      throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                         " metadata does not match shard " +
-                         std::to_string(ref.shard));
-    if (s.mode == "measured" && (s.seed != ref.seed || s.jitter != ref.jitter))
-      throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                         " seed/jitter does not match");
-    if (s.shards != n)
-      throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                         " declares a different shard count");
-    if (!indices.insert(s.shard).second)
-      throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                         " appears twice");
-    if (s.series.size() != ref.series.size())
-      throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                         " has a different series count");
-    for (std::size_t i = 0; i < s.series.size(); ++i) {
-      if (s.series[i].name != ref.series[i].name)
-        throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                           " series order/name mismatch at index " +
-                           std::to_string(i));
-      // Parsed reports arrive with the axis covered (the reader's grammar
-      // wall); a programmatic caller handing us a short row would read
-      // out of bounds in the fold below.
-      GRIDCAST_ASSERT(s.series[i].makespan_s.size() == ref.sizes.size(),
-                      "merge precondition: series cells must cover the axis");
-    }
-  }
-
-  io::BenchReport out = ref;
-  out.shards = 1;
-  out.shard = 0;
-  const std::size_t n_series = ref.series.size();
-  for (std::size_t i = 0; i < ref.sizes.size(); ++i) {
-    for (std::size_t s = 0; s < n_series; ++s) {
-      const std::size_t cell = i * n_series + s;
-      const std::size_t owner = cell % n;
-      double value = kNaN;
-      for (const auto& shard : shards) {
-        const double v = shard.series[s].makespan_s[i];
-        if (shard.shard == owner) {
-          value = v;
-        } else if (!std::isnan(v)) {
-          throw InvalidInput(
-              "merge: cell (size " + std::to_string(ref.sizes[i]) +
-              ", series '" + ref.series[s].name + "') computed by shard " +
-              std::to_string(shard.shard) + " but owned by shard " +
-              std::to_string(owner));
-        }
-      }
-      if (std::isnan(value))
-        throw InvalidInput("merge: cell (size " +
-                           std::to_string(ref.sizes[i]) + ", series '" +
-                           ref.series[s].name + "') was never computed");
-      out.series[s].makespan_s[i] = value;
-    }
-  }
-  // Sharded runs never time scheduling (wall and selection cost are
-  // machine-local); only a trivial single-shard merge can carry them
-  // through.
-  if (n > 1) {
-    for (auto& s : out.series) {
-      s.wall_time_s = kNaN;
-      s.micro_scheduling_cost_s.clear();
-    }
-  }
-  return out;
 }
 
 // --------------------------------------------------------------------------
@@ -364,22 +269,6 @@ std::vector<std::size_t> fig2_cluster_ladder() {
 }
 
 namespace {
-
-/// SplitMix64 finalizer, the same dispersion step measured_cell_seed uses.
-std::uint64_t mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 /// Reduce a shard-form race report whose every (point, block) cell is
 /// filled to its final form: per point, the block partials summed in block
@@ -405,8 +294,6 @@ void fold_race_blocks(io::BenchReport& r) {
     series.block_sum_s.clear();
     series.block_hits.clear();
   }
-  r.shards = 1;
-  r.shard = 0;
   r.block_iters = 0;
 }
 
@@ -432,7 +319,7 @@ std::uint64_t race_instance_seed(std::uint64_t seed, std::size_t clusters) {
 std::uint64_t race_exec_seed(std::uint64_t seed, std::size_t clusters,
                              std::uint64_t iteration,
                              std::string_view series_name) {
-  std::uint64_t z = seed + fnv1a(series_name);
+  std::uint64_t z = seed + name_hash(series_name);
   z += 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(clusters) + 1);
   z += 0xd1b54a32d192ed03ULL * (iteration + 1);
   return mix64(z);
@@ -621,109 +508,116 @@ io::BenchReport run_race_grid(const RaceGridSpec& spec, ThreadPool& pool) {
       });
 
   // Unsharded runs reduce to the final form directly, through the fold
-  // merge_race_grid_shards ends in.
+  // merge_race_shards ends in.
   if (spec.shard.shards == 1) fold_race_blocks(r);
   return r;
 }
 
-io::BenchReport merge_race_grid_shards(
-    const std::vector<io::BenchReport>& shards) {
+namespace {
+
+/// The shard-partitioned cells of one series at axis point `p`: a sweep's
+/// value cell, or a Monte-Carlo shard's block sums and hit counts.
+template <typename Series>
+auto partitioned_rows(Series& s, std::size_t p) {
+  using Row = std::span<
+      std::conditional_t<std::is_const_v<Series>, const double, double>>;
+  if (s.block_sum_s.empty())
+    return std::array<Row, 2>{Row(&s.makespan_s[p], 1), Row()};
+  return std::array<Row, 2>{
+      Row(s.block_sum_s[p]),
+      s.block_hits.empty() ? Row() : Row(s.block_hits[p])};
+}
+
+}  // namespace
+
+io::BenchReport merge_race_shards(const std::vector<io::BenchReport>& shards) {
   if (shards.empty()) throw InvalidInput("merge: no shard reports given");
+  // Parsed shards are well-formed already; a programmatic caller's short
+  // row would otherwise be read out of bounds below.
+  for (const auto& s : shards)
+    if (const std::string v = io::bench_violation(s); !v.empty())
+      throw InvalidInput("merge: shard " + std::to_string(s.shard) + ": " + v);
   const io::BenchReport& ref = shards.front();
-  if (!ref.is_montecarlo())
-    throw InvalidInput("merge: not a Monte-Carlo race report");
+  if (!io::shardable(ref))
+    throw InvalidInput("merge: " + ref.bench + " reports cannot be sharded");
   const std::size_t n = ref.shards;
   if (shards.size() != n)
     throw InvalidInput("merge: report declares " + std::to_string(n) +
                        " shards but " + std::to_string(shards.size()) +
                        " files were given");
-  if (n == 1) {
-    if (ref.shard_form())
-      throw InvalidInput("merge: single-shard race report in shard form");
-    return ref;
-  }
 
   std::set<std::size_t> indices;
   for (const auto& s : shards) {
-    if (s.bench != ref.bench || s.grid != ref.grid || s.mode != ref.mode ||
-        s.root != ref.root || s.seed != ref.seed ||
-        s.iterations != ref.iterations || s.block_iters != ref.block_iters ||
-        s.sizes != ref.sizes)
+    const std::string shard = "merge: shard " + std::to_string(s.shard);
+    // The rule compare_bench applies: shards of one run share every
+    // header key but the shard coordinates.
+    if (const std::string m = io::run_mismatch(ref, s); !m.empty())
       throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                         " metadata does not match shard " +
-                         std::to_string(ref.shard));
-    if (s.mode == "measured" && s.jitter != ref.jitter)
-      throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                         " jitter does not match");
+                         " is not a shard of the run of shard " +
+                         std::to_string(ref.shard) + " (" + m + ")");
     if (s.shards != n)
-      throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                         " declares a different shard count");
+      throw InvalidInput(shard + " declares a different shard count");
     if (!indices.insert(s.shard).second)
-      throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                         " appears twice");
-    if (!s.shard_form())
-      throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                         " is not in shard form");
+      throw InvalidInput(shard + " appears twice");
     if (s.series.size() != ref.series.size())
-      throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                         " has a different series count");
-    for (std::size_t i = 0; i < s.series.size(); ++i) {
-      if (s.series[i].name != ref.series[i].name)
-        throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                           " series order/name mismatch at index " +
-                           std::to_string(i));
-      if (s.series[i].block_hits.empty() !=
-          ref.series[i].block_hits.empty())
-        throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                           " hit tracking disagrees for series '" +
-                           s.series[i].name + "'");
-      // Same contract as the sweep merge: the fold below indexes
-      // [point][block] unconditionally.
-      GRIDCAST_ASSERT(s.series[i].block_sum_s.size() == ref.sizes.size(),
-                      "merge precondition: block rows must cover the axis");
-      for (const auto& row : s.series[i].block_sum_s)
-        GRIDCAST_ASSERT(row.size() == ref.block_count(),
-                        "merge precondition: block row depth mismatch");
-    }
+      throw InvalidInput(shard + " has a different series count");
+    for (std::size_t i = 0; i < s.series.size(); ++i)
+      if (s.series[i].name != ref.series[i].name ||
+          s.series[i].block_hits.empty() != ref.series[i].block_hits.empty())
+        throw InvalidInput(shard + " disagrees with shard " +
+                           std::to_string(ref.shard) + " on series " +
+                           std::to_string(i) + " ('" + s.series[i].name + "')");
   }
 
-  // Gather every (point, block) partial from its owning shard, then fold
-  // exactly as an unsharded run does.
-  const std::size_t n_points = ref.sizes.size();
-  const std::size_t n_blocks = ref.block_count();
+  // Gather every cell from its owning shard.  A sweep partitions (size x
+  // series) cells; a Monte-Carlo race partitions (point x block) partials
+  // of every series, which then fold exactly as an unsharded run does.
+  const bool blocks = ref.shard_form();
+  const std::size_t n_series = ref.series.size();
   io::BenchReport out = ref;
-  for (std::size_t s = 0; s < out.series.size(); ++s) {
-    auto& series = out.series[s];
-    const bool tracked = !series.block_hits.empty();
-    for (std::size_t p = 0; p < n_points; ++p) {
-      for (std::size_t b = 0; b < n_blocks; ++b) {
-        const std::size_t cell = p * n_blocks + b;
-        const std::size_t owner = cell % n;
-        double sum = kNaN;
-        double hit = kNaN;
-        for (const auto& shard : shards) {
-          const double v = shard.series[s].block_sum_s[p][b];
-          if (shard.shard == owner) {
-            sum = v;
-            if (tracked) hit = shard.series[s].block_hits[p][b];
-          } else if (!std::isnan(v)) {
-            throw InvalidInput(
-                "merge: cell (clusters " + std::to_string(ref.sizes[p]) +
-                ", block " + std::to_string(b) + ") computed by shard " +
-                std::to_string(shard.shard) + " but owned by shard " +
-                std::to_string(owner));
+  for (std::size_t s = 0; s < n_series; ++s) {
+    for (std::size_t p = 0; p < ref.sizes.size(); ++p) {
+      const auto rows = partitioned_rows(out.series[s], p);
+      for (std::size_t c = 0; c < rows.size(); ++c) {
+        for (std::size_t b = 0; b < rows[c].size(); ++b) {
+          const std::size_t owner =
+              (blocks ? p * rows[c].size() + b : p * n_series + s) % n;
+          const auto cell = [&] {
+            return "merge: cell (" + io::axis_point(ref, p) + ", series '" +
+                   ref.series[s].name + "'" +
+                   (blocks ? ", block " + std::to_string(b) : "") + ")";
+          };
+          double value = kNaN;
+          for (const auto& shard : shards) {
+            const double v = partitioned_rows(shard.series[s], p)[c][b];
+            if (shard.shard == owner) {
+              value = v;
+            } else if (!std::isnan(v)) {
+              throw InvalidInput(cell() + " computed by shard " +
+                                 std::to_string(shard.shard) +
+                                 " but owned by shard " +
+                                 std::to_string(owner));
+            }
           }
+          if (std::isnan(value))
+            throw InvalidInput(cell() + " was never computed");
+          rows[c][b] = value;
         }
-        if (std::isnan(sum) || (tracked && std::isnan(hit)))
-          throw InvalidInput("merge: cell (clusters " +
-                             std::to_string(ref.sizes[p]) + ", block " +
-                             std::to_string(b) + ") was never computed");
-        series.block_sum_s[p][b] = sum;
-        if (tracked) series.block_hits[p][b] = hit;
       }
     }
   }
-  fold_race_blocks(out);
+  if (blocks) fold_race_blocks(out);
+  out.shards = 1;
+  out.shard = 0;
+  // Sharded runs never time scheduling (wall and selection cost are
+  // machine-local); only a trivial single-shard merge can carry them
+  // through.
+  if (n > 1) {
+    for (auto& s : out.series) {
+      s.wall_time_s = kNaN;
+      s.micro_scheduling_cost_s.clear();
+    }
+  }
   return out;
 }
 
@@ -983,10 +877,10 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
         throw InvalidInput("unexpected argument '" + positionals.front() +
                            "'\n" + race_cli_usage());
       cli.spec.shard.validate();
-      if (cli.spec.wall && cli.spec.shard.shards > 1)
-        throw InvalidInput("--wall cannot be combined with --shards");
-      if (cli.spec.sched_cost && cli.spec.shard.shards > 1)
-        throw InvalidInput("--sched-cost cannot be combined with --shards");
+      if ((cli.spec.wall || cli.spec.sched_cost) && cli.spec.shard.shards > 1)
+        throw InvalidInput(
+            std::string(cli.spec.wall ? "--wall" : "--sched-cost") +
+            " cannot be combined with --shards");
       break;
     case RaceCli::Action::kRace:
       break;  // validated and returned above
@@ -1098,12 +992,7 @@ int run_race_cli(const RaceCli& cli, std::ostream& out, std::ostream& err) {
       shards.reserve(cli.merge_inputs.size());
       for (const auto& path : cli.merge_inputs)
         shards.push_back(read_report_file(path));
-      // The report kind picks the merge: Monte-Carlo races recombine
-      // (point x block) partial sums, sweeps recombine (size x series)
-      // cells.  Mixing kinds fails inside either merge's metadata check.
-      const io::BenchReport merged = shards.front().is_montecarlo()
-                                         ? merge_race_grid_shards(shards)
-                                         : merge_race_shards(shards);
+      const io::BenchReport merged = merge_race_shards(shards);
       write_report(merged, cli.out_path, out);
       err << "merged " << shards.size() << " shards -> " << cli.out_path
           << "\n";
@@ -1117,9 +1006,8 @@ int run_race_cli(const RaceCli& cli, std::ostream& out, std::ostream& err) {
       for (const auto& p : problems) err << "REGRESSION: " << p << "\n";
       if (problems.empty()) {
         err << "baseline gate OK: " << current.series.size() << " series x "
-            << current.sizes.size()
-            << (current.is_montecarlo() ? " cluster counts" : " sizes")
-            << " within tolerance of " << cli.baseline_path << "\n";
+            << current.sizes.size() << " points within tolerance of "
+            << cli.baseline_path << "\n";
         return 0;
       }
       err << problems.size() << " regression(s) against " << cli.baseline_path

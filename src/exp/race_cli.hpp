@@ -78,13 +78,6 @@ struct RaceSpec {
     InstanceCache& cache, const std::string& grid_name, const RaceSpec& spec,
     ThreadPool& pool, std::vector<std::string>* skipped = nullptr);
 
-/// Recombine one report per shard (any order) into the report an
-/// unsharded run would have produced — byte-identical once serialised.
-/// Throws InvalidInput on mismatched metadata, duplicate/missing shards,
-/// or cells covered by zero or multiple shards.
-[[nodiscard]] io::BenchReport merge_race_shards(
-    const std::vector<io::BenchReport>& shards);
-
 // ------------------------------------------------------------------------
 // Monte-Carlo race mode (`gridcast_race --race`, the Figs. 1-4 experiment)
 // ------------------------------------------------------------------------
@@ -157,18 +150,22 @@ struct RaceGridSpec {
 /// synthetic "GlobalMin" row (mean of the per-iteration minima, Figs. 1-2's
 /// bottom curve; it has no hit counts).  Unsharded runs return the final
 /// report; sharded runs return the shard form (per-block partials) that
-/// `merge_race_grid_shards` recombines.  Throws InvalidInput for unknown
+/// `merge_race_shards` recombines.  Throws InvalidInput for unknown
 /// schedulers, a `can_schedule` refusal (a race cannot skip entries without
 /// skewing the hit denominator), an instance-only mismatch (see
 /// `RaceGridSpec::realise`), or a backend without broadcast support.
 [[nodiscard]] io::BenchReport run_race_grid(const RaceGridSpec& spec,
                                             ThreadPool& pool);
 
-/// Recombine Monte-Carlo race shards (any order) into the final report an
+/// Recombine one report per shard (any order) into the report an
 /// unsharded run would have produced — byte-identical once serialised.
-/// Throws InvalidInput on mismatched metadata, duplicate/missing shards,
-/// or (point, block) cells covered by zero or multiple shards.
-[[nodiscard]] io::BenchReport merge_race_grid_shards(
+/// Size sweeps (`run_race_sweep`) merge their (size x series) cells,
+/// Monte-Carlo races (`run_race_grid`) their (point x block) partials,
+/// which then fold into the final report.  Throws InvalidInput on a
+/// malformed shard, a kind that cannot be sharded (micro, serve), shards
+/// of different runs (`io::run_mismatch`), duplicate/missing shards, or
+/// cells covered by zero or multiple shards.
+[[nodiscard]] io::BenchReport merge_race_shards(
     const std::vector<io::BenchReport>& shards);
 
 /// One parsed `gridcast_race` invocation.

@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace gridcast::exp {
 
@@ -31,19 +32,12 @@ std::vector<Bytes> default_size_ladder() {
 
 std::uint64_t measured_cell_seed(std::uint64_t seed, std::size_t size_index,
                                  std::string_view series_name) {
-  // FNV-1a over the series name: stable across platforms, insensitive to
-  // the series' position in the competitor list.
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : series_name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  // SplitMix64 finalizer over (seed, size index, name hash) for dispersion.
-  std::uint64_t z =
-      seed + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(size_index) + 1) + h;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  // The name hash keeps the seed insensitive to the series' position in
+  // the competitor list; the finalizer disperses (seed, size index, name).
+  return mix64(seed +
+               0x9e3779b97f4a7c15ULL *
+                   (static_cast<std::uint64_t>(size_index) + 1) +
+               name_hash(series_name));
 }
 
 bool verb_accepts(const sched::Scheduler& comp, collective::Verb verb,

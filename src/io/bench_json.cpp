@@ -1,14 +1,17 @@
 #include "io/bench_json.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
 #include <ostream>
+#include <span>
 #include <sstream>
+#include <type_traits>
 #include <variant>
 
 #include "collective/verb.hpp"
@@ -19,13 +22,16 @@ namespace gridcast::io {
 
 namespace {
 
-// ---------------------------------------------------------------- writing
+// ------------------------------------------------------------------ values
+//
+// One overload set per direction serves every header key and channel:
+// strings, unsigned integers, doubles and arrays of them.
 
 /// Print a double exactly as the writer always has: 17 significant digits
 /// via ostream.  Parsing then re-printing the same value reproduces the
 /// bytes, which is what makes shard merging byte-identical.  The caller's
 /// precision is restored — reports also go to long-lived streams (stdout).
-void put_double(std::ostream& os, double v) {
+void put_value(std::ostream& os, double v) {
   if (std::isnan(v)) {
     os << "null";
     return;
@@ -35,50 +41,144 @@ void put_double(std::ostream& os, double v) {
   os.precision(saved);
 }
 
-// ---------------------------------------------------------------- parsing
-//
-// A minimal recursive-descent JSON reader covering the grammar
-// write_bench_json emits (objects, arrays, strings, numbers, null,
-// booleans).  Strict: trailing garbage, unknown report keys and type
-// mismatches all throw InvalidInput with position context.
+void put_value(std::ostream& os, const std::string& s) {
+  os << '"' << json_escape(s) << '"';
+}
 
-struct JsonValue;
-using JsonArray = std::vector<JsonValue>;
-using JsonObject = std::vector<std::pair<std::string, JsonValue>>;
+template <std::unsigned_integral T>
+void put_value(std::ostream& os, T v) {
+  os << v;
+}
 
-/// A parsed number keeps its source token so 64-bit integers (seeds) can
-/// be re-parsed losslessly — a double only holds 53 mantissa bits.  JSON
-/// null is a number with NaN value and an empty token.
-struct JsonNumber {
-  double value = 0.0;
-  std::string raw;
-};
-
-struct JsonValue {
-  std::variant<JsonNumber, bool, std::string, JsonArray, JsonObject> v;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after JSON value");
-    return v;
+template <typename T>
+void put_value(std::ostream& os, const std::vector<T>& xs) {
+  os << "[";
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    os << (i ? ", " : "");
+    put_value(os, xs[i]);
   }
+  os << "]";
+}
 
- private:
+/// A value as a diagnostic quotes it.
+std::string value_text(const std::string& s) { return "'" + s + "'"; }
+
+template <typename Number>
+std::string value_text(Number v) {
+  std::ostringstream os;
+  put_value(os, v);
+  return os.str();
+}
+
+/// The row of `table` whose `column` is `key`, or null.
+template <typename Row, std::size_t N>
+const Row* find_row(const Row (&table)[N], std::string_view Row::*column,
+                    std::string_view key) {
+  for (const Row& row : table)
+    if (row.*column == key) return &row;
+  return nullptr;
+}
+
+/// Calls `f` with the member of `x` that `field`, a variant of member
+/// pointers, names.
+template <typename Object, typename Field, typename F>
+decltype(auto) with_field(Object& x, const Field& field, F f) {
+  return std::visit([&](auto m) -> decltype(auto) { return f(x.*m); }, field);
+}
+
+// ----------------------------------------------------------------- reading
+
+/// A minimal recursive-descent reader covering the JSON write_bench_json
+/// emits (objects, arrays, strings, numbers, null), which reads each value
+/// straight into its field.  Strict: trailing garbage, unknown or repeated
+/// keys and type mismatches all throw InvalidInput with position context.
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
   [[noreturn]] void fail(const std::string& what) const {
     throw InvalidInput("bench JSON: " + what + " at offset " +
                        std::to_string(pos_));
   }
 
+  /// Reads an object, calling `member(key)` to read each member's value,
+  /// and returns its keys.
+  template <typename Member>
+  std::vector<std::string> object(const char* what, Member member) {
+    std::vector<std::string> keys;
+    sequence(what, '{', '}', [&] {
+      keys.push_back(string());
+      if (std::count(keys.begin(), keys.end(), keys.back()) > 1)
+        fail("repeated key '" + keys.back() + "'");
+      skip_ws();
+      expect(':');
+      member(keys.back());
+    });
+    return keys;
+  }
+
+  void read(const char* what, std::string& out) {
+    skip_ws();
+    if (peek() != '"') wrong_type(what);
+    out = string();
+  }
+
+  /// A number, or null for NaN.
+  void read(const char* what, double& out) {
+    skip_ws();
+    if (text_.substr(pos_, 4) == "null") {
+      pos_ += 4;
+      out = std::numeric_limits<double>::quiet_NaN();
+      return;
+    }
+    const std::string tok = token(what);
+    char* end = nullptr;
+    out = std::strtod(tok.c_str(), &end);
+    if (end != tok.c_str() + tok.size()) fail("malformed number '" + tok + "'");
+  }
+
+  template <std::unsigned_integral T>
+  void read(const char* what, T& out) {
+    // Parse the token itself: going through a double would silently round
+    // integers above 2^53 (e.g. full-width RNG seeds).
+    skip_ws();
+    const std::string tok = token(what);
+    std::uint64_t x = 0;
+    const auto [ptr, ec] =
+        std::from_chars(tok.data(), tok.data() + tok.size(), x);
+    if (ec != std::errc{} || ptr != tok.data() + tok.size())
+      fail(std::string("'") + what + "' is not a non-negative 64-bit integer");
+    // A value above a narrower field's range (a cluster id) is rejected,
+    // not truncated onto another value.
+    if (x > std::numeric_limits<T>::max())
+      fail(std::string("'") + what + "' is out of range (max " +
+           std::to_string(std::numeric_limits<T>::max()) + ")");
+    out = static_cast<T>(x);
+  }
+
+  /// A series: its name and channels (read with the grammar below).
+  void read(const char* what, BenchSeries& s);
+
+  template <typename T>
+  void read(const char* what, std::vector<T>& out) {
+    out.clear();
+    sequence(what, '[', ']', [&] { read(what, out.emplace_back()); });
+  }
+
+  /// Only whitespace may follow the report.
+  void end() {
+    skip_ws();
+    if (pos_ != text_.size()) fail("trailing characters after JSON value");
+  }
+
+ private:
+  [[noreturn]] void wrong_type(const char* what) const {
+    fail(std::string("'") + what + "' has the wrong type");
+  }
+
   void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
+    pos_ = std::min(text_.find_first_not_of(" \t\n\v\f\r", pos_),
+                    text_.size());
   }
 
   char peek() {
@@ -91,79 +191,25 @@ class JsonParser {
     ++pos_;
   }
 
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  JsonValue value() {
+  /// `open item (, item)* close` or `open close`.
+  template <typename Item>
+  void sequence(const char* what, char open, char close, Item item) {
     skip_ws();
-    switch (peek()) {
-      case '{':
-        return JsonValue{object()};
-      case '[':
-        return JsonValue{array()};
-      case '"':
-        return JsonValue{string()};
-      case 't':
-        if (consume_literal("true")) return JsonValue{true};
-        fail("bad literal");
-      case 'f':
-        if (consume_literal("false")) return JsonValue{false};
-        fail("bad literal");
-      case 'n':
-        if (consume_literal("null"))
-          return JsonValue{
-              JsonNumber{std::numeric_limits<double>::quiet_NaN(), ""}};
-        fail("bad literal");
-      default:
-        return JsonValue{number()};
-    }
-  }
-
-  JsonObject object() {
-    expect('{');
-    JsonObject out;
+    if (peek() != open) wrong_type(what);
+    ++pos_;
     skip_ws();
-    if (peek() == '}') {
+    if (peek() == close) {
       ++pos_;
-      return out;
+      return;
     }
     while (true) {
       skip_ws();
-      std::string key = string();
+      item();
       skip_ws();
-      expect(':');
-      out.emplace_back(std::move(key), value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return out;
-    }
-  }
-
-  JsonArray array() {
-    expect('[');
-    JsonArray out;
-    skip_ws();
-    if (peek() == ']') {
+      if (peek() != ',') break;
       ++pos_;
-      return out;
     }
-    while (true) {
-      out.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return out;
-    }
+    expect(close);
   }
 
   std::string string() {
@@ -189,30 +235,17 @@ class JsonParser {
         case 'r': out.push_back('\r'); break;
         case 't': out.push_back('\t'); break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+          // The writer only \u-escapes control characters (< 0x20) and
+          // passes UTF-8 through, so an escape beyond ASCII is refused.
           unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape digit");
-          }
-          // The writer only \u-escapes control characters (< 0x20); accept
-          // any BMP code point and re-encode as UTF-8 for completeness.
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
+          const char* digits = text_.data() + pos_;
+          const char* end =
+              digits + std::min<std::size_t>(4, text_.size() - pos_);
+          if (std::from_chars(digits, end, code, 16).ptr != digits + 4 ||
+              code >= 0x80)
+            fail("bad \\u escape");
+          pos_ += 4;
+          out.push_back(static_cast<char>(code));
           break;
         }
         default:
@@ -221,62 +254,21 @@ class JsonParser {
     }
   }
 
-  JsonNumber number() {
+  /// A number's token: signs, digits, '.' and exponents.
+  std::string token(const char* what) {
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start) fail("expected a number");
-    std::string tok(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size()) fail("malformed number '" + tok + "'");
-    return JsonNumber{v, std::move(tok)};
+    pos_ = std::min(text_.find_first_not_of("+-.0123456789Ee", pos_),
+                    text_.size());
+    if (pos_ == start) wrong_type(what);
+    return std::string(text_.substr(start, pos_ - start));
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
 };
 
-// Typed accessors over the parsed tree.
-
-const JsonValue* find(const JsonObject& o, std::string_view key) {
-  for (const auto& [k, v] : o)
-    if (k == key) return &v;
-  return nullptr;
-}
-
-template <typename T>
-const T& as(const JsonValue& v, const char* what) {
-  const T* p = std::get_if<T>(&v.v);
-  if (!p) throw InvalidInput(std::string("bench JSON: '") + what +
-                             "' has the wrong type");
-  return *p;
-}
-
-double as_number(const JsonValue& v, const char* what) {
-  return as<JsonNumber>(v, what).value;
-}
-
-std::uint64_t as_u64(const JsonValue& v, const char* what) {
-  // Re-parse the source token: going through the double would silently
-  // round integers above 2^53 (e.g. full-width RNG seeds).
-  const std::string& raw = as<JsonNumber>(v, what).raw;
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(raw.data(), raw.data() + raw.size(), out);
-  if (ec != std::errc{} || ptr != raw.data() + raw.size())
-    throw InvalidInput(std::string("bench JSON: '") + what +
-                       "' is not a non-negative 64-bit integer");
-  return out;
-}
-
-const JsonValue& require(const JsonObject& o, std::string_view key) {
-  if (const JsonValue* v = find(o, key)) return *v;
-  throw InvalidInput("bench JSON: missing key '" + std::string(key) + "'");
+bool contains(const std::vector<std::string>& keys, std::string_view key) {
+  return std::find(keys.begin(), keys.end(), key) != keys.end();
 }
 
 }  // namespace
@@ -327,177 +319,299 @@ std::string json_escape(std::string_view s) {
 
 namespace {
 
-void put_double_array(std::ostream& os, const std::vector<double>& xs) {
-  os << "[";
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    os << (i ? ", " : "");
-    put_double(os, xs[i]);
+// ----------------------------------------------------------------- grammar
+//
+// The report grammar is stated once, in the tables below: the channel
+// table (what a series may carry and how the gate compares it), the kind
+// table (what each report kind's header and series carry) and the header
+// list (when the writer emits each header key).  The writer, the reader,
+// their shared validator and compare_bench all read them.
+
+/// How compare_bench gates a channel's cells.
+enum class Gate : std::uint8_t {
+  kRtol,     ///< |current - baseline| <= makespan_rtol * |baseline|
+  kExact,    ///< any difference: deterministic integer counts
+  kFloor,    ///< current >= baseline / throughput_factor (higher is better)
+  kCeiling,  ///< current <= baseline * wall_factor (host-dependent costs)
+  kNone,     ///< shard partials: merged, never compared
+};
+
+// A channel's shape: one value per series (NaN = absent), a cell per axis
+// point, or per axis point a row of iteration-block partials.
+using Scalar = double BenchSeries::*;
+using Points = std::vector<double> BenchSeries::*;
+using Blocks = std::vector<std::vector<double>> BenchSeries::*;
+
+struct Channel {
+  std::string_view key;  ///< the JSON key, spelled like the BenchSeries field
+  std::variant<Scalar, Points, Blocks> field;
+  Gate gate;
+  /// A series carries exactly one value channel.  The kind table and the
+  /// shard form then decide which: hits ride on makespans, block hits on
+  /// block sums, selection costs on a sweep's makespans.
+  bool value;
+  std::string_view label;  ///< names the channel in a gate problem
+  std::string_view unit;   ///< follows each number in a gate problem
+};
+
+/// In the order the writer emits them.
+constexpr Channel kChannels[] = {
+    // Host-dependent: scheduling cost (sweeps) or a latency (serve).
+    {"wall_time_s", &BenchSeries::wall_time_s, Gate::kCeiling, false,
+     "wall_time_s", "s"},
+    // Monte-Carlo shard partials: per (point, iteration block), the sum of
+    // completion times and the hit count.
+    {"block_sum_s", &BenchSeries::block_sum_s, Gate::kNone, true, "", ""},
+    {"block_hits", &BenchSeries::block_hits, Gate::kNone, false, "", ""},
+    // Events, sends or messages per second (micro), requests per second
+    // (serve): machine-dependent where makespans are exact, so a floor.
+    {"throughput", &BenchSeries::throughput, Gate::kFloor, true, "throughput",
+     " items/s"},
+    // Completion times (sweeps), mean completions (Monte-Carlo), exact
+    // counters (serve).  The model is deterministic; the tolerance only
+    // absorbs cross-platform float noise.
+    {"makespan_s", &BenchSeries::makespan_s, Gate::kRtol, true, "makespan",
+     ""},
+    // Hit counts are deterministic integers under a fixed seed.
+    {"hits", &BenchSeries::hits, Gate::kExact, false, "hit-count", ""},
+    // Seconds to select one schedule per ladder point, host-dependent like
+    // wall_time_s.
+    {"micro_scheduling_cost_s", &BenchSeries::micro_scheduling_cost_s,
+     Gate::kCeiling, false, "micro_scheduling_cost_s", "s"},
+};
+
+/// The bit set of the named channels; a misspelt key fails to compile.
+constexpr unsigned channel_bits(std::initializer_list<std::string_view> keys) {
+  unsigned bits = 0;
+  for (const std::string_view key : keys) {
+    const unsigned before = bits;
+    for (std::size_t c = 0; c < std::size(kChannels); ++c)
+      if (kChannels[c].key == key) bits |= 1u << c;
+    if (bits == before) throw LogicError("unknown channel key");
   }
-  os << "]";
+  return bits;
 }
 
-void put_nested_array(std::ostream& os,
-                      const std::vector<std::vector<double>>& xs) {
-  os << "[";
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    os << (i ? ", " : "");
-    put_double_array(os, xs[i]);
-  }
-  os << "]";
+struct Kind {
+  std::string_view bench;
+  std::string_view label;  ///< names the kind in "<label>-only key"
+  std::string_view axis;   ///< the axis' JSON key
+  std::string_view point;  ///< names an axis point in a diagnostic
+  bool verb;               ///< carries "verb" (when it is not bcast)
+  /// Carries "shards"/"shard" when sharded.  A shard owns (point x
+  /// series) cells, foreign cells null, or, where the kind's series may
+  /// carry block partials, (point x iteration-block) partials.
+  bool shards;
+  /// Monte-Carlo draws: carries "seed" and "iterations", and
+  /// "block_iters" in shard form.
+  bool draws;
+  unsigned channels;  ///< the channels its series may carry
+};
+
+constexpr Kind kKinds[] = {
+    // Message-size sweeps (Figs. 5/6): a completion time per size.
+    {"race", "sweep", "sizes", "size", true, true, false,
+     channel_bits({"wall_time_s", "makespan_s", "micro_scheduling_cost_s"})},
+    // Monte-Carlo races (Figs. 1-4), broadcast by definition: a mean
+    // completion and a hit count per cluster count; a shard carries block
+    // partials instead.
+    {"montecarlo", "montecarlo", "clusters", "cluster-count", false, true,
+     true, channel_bits({"block_sum_s", "block_hits", "makespan_s", "hits"})},
+    // The simulator throughput lane measures the simulator, not a
+    // collective: each series is one whole-machine measurement per
+    // workload scale.
+    {"micro", "micro", "sizes", "size", false, false, false,
+     channel_bits({"throughput"})},
+    // Request-log replays over a one-point request-count axis: exact
+    // counters in makespan_s, requests/s in throughput, latencies in
+    // wall_time_s beside a null value cell.  A log mixes verbs and roots,
+    // and one replay is one whole-service measurement.
+    {"serve", "serve", "requests", "request-count", false, false, false,
+     channel_bits({"wall_time_s", "throughput", "makespan_s"})},
+};
+
+const Kind& kind_of(const BenchReport& r) {
+  const Kind* kind = find_row(kKinds, &Kind::bench, r.bench);
+  GRIDCAST_ASSERT(kind != nullptr, "unknown bench kind '" + r.bench + "'");
+  return *kind;
 }
 
-/// Writer-side mirror of the parser's grammar wall.  Parsed reports are
-/// validated on the way in; this guards the *producers* — a new bench or
-/// sweep assembling a BenchReport by hand — so a malformed report fails
-/// at the write site on the Debug/sanitizer lanes instead of surfacing as
-/// a confusing parse error (or a silently wrong baseline) downstream.
-/// Returns an empty string when the report is well-formed.
-std::string report_grammar_violation(const BenchReport& r) {
-  if (r.bench != "race" && r.bench != "montecarlo" && r.bench != "micro" &&
-      r.bench != "serve")
-    return "unknown bench kind '" + r.bench + "'";
-  if (r.sizes.empty()) return "empty axis";
-  if (r.shards == 0 || r.shard >= r.shards) return "shard index out of range";
-  if (r.is_montecarlo()) {
-    if (r.verb != "bcast") return "montecarlo reports are broadcast-only";
-    if (r.iterations == 0) return "montecarlo report needs iterations >= 1";
-  } else if (r.block_iters != 0) {
-    return "'block_iters' outside a montecarlo report";
-  }
-  if (r.is_micro() && (r.shards != 1 || r.verb != "bcast"))
-    return "micro reports carry no verb or shard axes";
-  if (r.is_serve() && (r.shards != 1 || r.verb != "bcast"))
-    return "serve reports carry no verb or shard axes";
-  const bool shard_form = r.shard_form();
-  if (shard_form && !r.is_montecarlo())
-    return "block data outside a montecarlo report";
-  if (shard_form && r.block_iters == 0)
-    return "shard-form report needs block_iters >= 1";
-  for (const auto& s : r.series) {
-    // Selection-cost cells ride only final-form size sweeps: the other
-    // kinds have no per-ladder-point selection to time.
-    if (!s.micro_scheduling_cost_s.empty()) {
-      if (r.bench != "race")
-        return "'micro_scheduling_cost_s' is a size-sweep-only key";
-      if (s.makespan_s.empty())
-        return "series '" + s.name +
-               "' needs 'makespan_s' cells to carry micro_scheduling_cost_s";
-      if (s.micro_scheduling_cost_s.size() != r.sizes.size())
-        return "series '" + s.name +
-               "' micro_scheduling_cost_s does not cover the axis";
-    }
-    if (r.is_micro()) {
-      if (s.throughput.size() != r.sizes.size())
-        return "series '" + s.name + "' throughput does not cover the axis";
-      continue;
-    }
-    if (r.is_serve()) {
-      // Serve series carry exactly one of the two channels: a value cell
-      // (makespan_s — exact compare) or a throughput cell (lower-bounded
-      // compare); either way it must cover the axis.
-      if (!s.hits.empty()) return "'hits' is montecarlo-only";
-      const std::vector<double>& cells =
-          s.throughput.empty() ? s.makespan_s : s.throughput;
-      if (cells.size() != r.sizes.size())
-        return "series '" + s.name + "' cells do not cover the axis";
-      continue;
-    }
-    if (!s.throughput.empty()) return "'throughput' outside a micro report";
-    if (!r.is_montecarlo() && !s.hits.empty()) return "'hits' is montecarlo-only";
-    if (shard_form != !s.block_sum_s.empty())
-      return "series '" + s.name + "' mixes shard-form and final-form data";
-    if (!shard_form) {
-      if (s.makespan_s.size() != r.sizes.size())
-        return "series '" + s.name + "' cells do not cover the axis";
-      if (!s.hits.empty() && s.hits.size() != r.sizes.size())
-        return "series '" + s.name + "' hits do not cover the axis";
-    } else {
-      if (s.block_sum_s.size() != r.sizes.size())
-        return "series '" + s.name + "' block_sum_s does not cover the axis";
-      for (const auto& row : s.block_sum_s)
-        if (row.size() != r.block_count())
-          return "series '" + s.name + "' block_sum_s row has wrong depth";
-      if (!s.block_hits.empty() && s.block_hits.size() != r.sizes.size())
-        return "series '" + s.name + "' block_hits does not cover the axis";
-      for (const auto& row : s.block_hits)
-        if (row.size() != r.block_count())
-          return "series '" + s.name + "' block_hits row has wrong depth";
-    }
-  }
-  return {};
+/// "'<key>' is a <labels>-only key", naming every kind `has` selects.
+template <typename Has>
+std::string only_in(std::string_view key, Has has) {
+  std::string labels;
+  for (const Kind& k : kKinds)
+    if (has(k)) labels += (labels.empty() ? "" : "/") + std::string(k.label);
+  return "'" + std::string(key) + "' is a " + labels + "-only key";
+}
+
+// The header's unsigned fields are all read as 64-bit integers.
+static_assert(std::is_same_v<std::size_t, std::uint64_t>);
+
+struct HeaderKey {
+  std::string_view key;
+  /// Names a mismatch between two reports; empty for the shard
+  /// coordinates, which the shards of one run do not share.
+  std::string_view label;
+  std::variant<std::string BenchReport::*, ClusterId BenchReport::*,
+               std::uint64_t BenchReport::*, double BenchReport::*>
+      field;
+  /// The writer's rule for an optional key (null: every report carries
+  /// it).  The reader accepts the key exactly when the parsed report
+  /// carries it.
+  bool (*carried)(const BenchReport&);
+};
+
+bool measured(const BenchReport& r) { return r.mode == "measured"; }
+bool sharded(const BenchReport& r) { return r.shards > 1; }
+
+/// In the order the writer emits them.
+constexpr HeaderKey kHeader[] = {
+    {"bench", "bench kind", &BenchReport::bench, nullptr},
+    {"grid", "grid", &BenchReport::grid, nullptr},
+    {"mode", "mode", &BenchReport::mode, nullptr},
+    // The default verb is omitted so broadcast reports keep the exact
+    // bytes they had before the verb axis existed.
+    {"verb", "verb", &BenchReport::verb,
+     [](const BenchReport& r) { return r.verb != "bcast"; }},
+    {"root", "root", &BenchReport::root, nullptr},
+    // Measured numbers are only comparable under one (seed, jitter).
+    // Monte-Carlo races record the seed whatever the mode: the instance
+    // draws depend on it even when the backend is deterministic.
+    {"seed", "seed/jitter", &BenchReport::seed,
+     [](const BenchReport& r) { return measured(r) || kind_of(r).draws; }},
+    {"jitter", "seed/jitter", &BenchReport::jitter, measured},
+    {"iterations", "iteration-count", &BenchReport::iterations,
+     [](const BenchReport& r) { return kind_of(r).draws; }},
+    // The block partition is an artefact of sharding; merged (final)
+    // reports drop it so they are byte-identical to an unsharded run.
+    {"block_iters", "block-size", &BenchReport::block_iters,
+     [](const BenchReport& r) { return r.shard_form(); }},
+    {"shards", "", &BenchReport::shards, sharded},
+    {"shard", "", &BenchReport::shard, sharded},
+};
+
+bool carries(const HeaderKey& h, const BenchReport& r) {
+  return h.carried == nullptr || h.carried(r);
+}
+
+bool absent(double v) { return std::isnan(v); }
+
+template <typename T>
+bool absent(const std::vector<T>& xs) {
+  return xs.empty();
+}
+
+bool present(const BenchSeries& s, const Channel& ch) {
+  return !with_field(s, ch.field, [](const auto& v) { return absent(v); });
+}
+
+/// Whether a channel's value covers the axis (partials: and the blocks).
+bool covers(double, const BenchReport&) { return true; }
+
+bool covers(const std::vector<double>& cells, const BenchReport& r) {
+  return cells.size() == r.sizes.size();
+}
+
+bool covers(const std::vector<std::vector<double>>& rows,
+            const BenchReport& r) {
+  return rows.size() == r.sizes.size() &&
+         std::all_of(rows.begin(), rows.end(), [&](const auto& row) {
+           return row.size() == r.block_count();
+         });
+}
+
+/// The cells compare_bench gates: a present wall time or a row of cells.
+std::span<const double> gated(const double& v) {
+  return {&v, std::isnan(v) ? 0u : 1u};
+}
+
+std::span<const double> gated(const std::vector<double>& cells) {
+  return cells;
+}
+
+std::span<const double> gated(const std::vector<std::vector<double>>&) {
+  return {};  // block partials are merged, never compared
 }
 
 }  // namespace
 
-void write_bench_json(std::ostream& os, const BenchReport& r) {
-  GRIDCAST_DCHECK(report_grammar_violation(r).empty(),
-                  "write_bench_json: malformed report: " +
-                      report_grammar_violation(r));
-  os << "{\n";
-  os << "  \"bench\": \"" << json_escape(r.bench) << "\",\n";
-  os << "  \"grid\": \"" << json_escape(r.grid) << "\",\n";
-  os << "  \"mode\": \"" << json_escape(r.mode) << "\",\n";
-  // The default verb is omitted so broadcast reports keep the exact bytes
-  // they had before the verb axis existed (shard-merge and baseline
-  // tooling compare reports byte for byte).
-  if (r.verb != "bcast") os << "  \"verb\": \"" << json_escape(r.verb) << "\",\n";
-  os << "  \"root\": " << r.root << ",\n";
-  // Monte-Carlo races record the seed whatever the mode: the instance
-  // draws depend on it even when the backend is deterministic.
-  if (r.mode == "measured" || r.is_montecarlo()) {
-    os << "  \"seed\": " << r.seed << ",\n";
+std::string bench_violation(const BenchReport& r) {
+  const Kind* kind = find_row(kKinds, &Kind::bench, r.bench);
+  if (kind == nullptr) return "unknown bench kind '" + r.bench + "'";
+  if (r.sizes.empty())
+    return "the '" + std::string(kind->axis) + "' axis is missing or empty";
+  if (r.shards == 0 || r.shard >= r.shards) return "shard index out of range";
+  // Header fields a kind does not carry keep their defaults.
+  if (!kind->verb && r.verb != "bcast")
+    return only_in("verb", [](const Kind& k) { return k.verb; });
+  if (!kind->shards && r.shards != 1)
+    return only_in("shards", [](const Kind& k) { return k.shards; });
+  if (!kind->draws && r.iterations != 0)
+    return only_in("iterations", [](const Kind& k) { return k.draws; });
+  if (kind->draws && r.iterations == 0)
+    return std::string(kind->bench) + " report needs iterations >= 1";
+  for (const auto& s : r.series)
+    for (std::size_t c = 0; c < std::size(kChannels); ++c)
+      if (present(s, kChannels[c]) && (kind->channels >> c & 1u) == 0)
+        return only_in(kChannels[c].key, [c](const Kind& k) {
+          return (k.channels >> c & 1u) != 0;
+        });
+  // A sharded report of a kind whose series may carry block partials
+  // carries them (shard form); every other report carries final values.
+  const bool blocks = r.shard_form();
+  constexpr unsigned partials = channel_bits({"block_sum_s"});
+  if (blocks != ((kind->channels & partials) != 0 && r.shards > 1))
+    return blocks ? "shard-form report without a shard partition"
+                  : "sharded " + std::string(kind->bench) +
+                        " report without block partials";
+  if (blocks != (r.block_iters != 0))
+    return blocks ? "shard-form report needs 'block_iters' >= 1"
+                  : "'block_iters' without shard-form series data";
+  for (const auto& s : r.series) {
+    const std::string series = "series '" + s.name + "' ";
+    int values = 0;
+    for (const Channel& ch : kChannels) {
+      if (!present(s, ch)) continue;
+      const std::string key(ch.key);
+      if (std::holds_alternative<Blocks>(ch.field) != blocks)
+        return series + "mixes shard-form and final-form data";
+      if (ch.value) ++values;
+      if (!with_field(s, ch.field,
+                      [&](const auto& v) { return covers(v, r); }))
+        return series + key + " does not cover the " +
+               std::to_string(r.sizes.size()) + "-point axis" +
+               (blocks ? " in " + std::to_string(r.block_count()) + " blocks"
+                       : "");
+    }
+    if (values != 1)
+      return series + "needs exactly one value channel, has " +
+             std::to_string(values);
   }
-  if (r.mode == "measured") {
-    os << "  \"jitter\": ";
-    put_double(os, r.jitter);
+  return {};
+}
+
+void write_bench_json(std::ostream& os, const BenchReport& r) {
+  GRIDCAST_DCHECK(bench_violation(r).empty(),
+                  "write_bench_json: malformed report: " + bench_violation(r));
+  os << "{\n";
+  for (const HeaderKey& h : kHeader) {
+    if (!carries(h, r)) continue;
+    os << "  \"" << h.key << "\": ";
+    with_field(r, h.field, [&](const auto& v) { put_value(os, v); });
     os << ",\n";
   }
-  if (r.is_montecarlo()) {
-    os << "  \"iterations\": " << r.iterations << ",\n";
-    // The block partition is an artefact of sharding; merged (final)
-    // reports drop it so they are byte-identical to an unsharded run.
-    if (r.shard_form()) os << "  \"block_iters\": " << r.block_iters << ",\n";
-  }
-  if (r.shards > 1) {
-    os << "  \"shards\": " << r.shards << ",\n";
-    os << "  \"shard\": " << r.shard << ",\n";
-  }
-  // The axis key names what the points are: byte sizes for sweeps,
-  // cluster counts for Monte-Carlo races, request counts for serve
-  // replays.
-  os << "  \""
-     << (r.is_montecarlo() ? "clusters" : r.is_serve() ? "requests" : "sizes")
-     << "\": [";
-  for (std::size_t i = 0; i < r.sizes.size(); ++i)
-    os << (i ? ", " : "") << r.sizes[i];
-  os << "],\n  \"series\": [\n";
+  os << "  \"" << kind_of(r).axis << "\": ";
+  put_value(os, r.sizes);
+  os << ",\n  \"series\": [\n";
   for (std::size_t s = 0; s < r.series.size(); ++s) {
-    os << "    {\"name\": \"" << json_escape(r.series[s].name) << "\"";
-    if (!std::isnan(r.series[s].wall_time_s)) {
-      os << ", \"wall_time_s\": ";
-      put_double(os, r.series[s].wall_time_s);
-    }
-    if (!r.series[s].block_sum_s.empty()) {
-      os << ", \"block_sum_s\": ";
-      put_nested_array(os, r.series[s].block_sum_s);
-      if (!r.series[s].block_hits.empty()) {
-        os << ", \"block_hits\": ";
-        put_nested_array(os, r.series[s].block_hits);
-      }
-    } else if (!r.series[s].throughput.empty()) {
-      os << ", \"throughput\": ";
-      put_double_array(os, r.series[s].throughput);
-    } else {
-      os << ", \"makespan_s\": ";
-      put_double_array(os, r.series[s].makespan_s);
-      if (!r.series[s].hits.empty()) {
-        os << ", \"hits\": ";
-        put_double_array(os, r.series[s].hits);
-      }
-      if (!r.series[s].micro_scheduling_cost_s.empty()) {
-        os << ", \"micro_scheduling_cost_s\": ";
-        put_double_array(os, r.series[s].micro_scheduling_cost_s);
-      }
+    os << "    {\"name\": ";
+    put_value(os, r.series[s].name);
+    for (const Channel& ch : kChannels) {
+      if (!present(r.series[s], ch)) continue;
+      os << ", \"" << ch.key << "\": ";
+      with_field(r.series[s], ch.field,
+                 [&](const auto& v) { put_value(os, v); });
     }
     os << "}" << (s + 1 < r.series.size() ? "," : "") << "\n";
   }
@@ -512,229 +626,63 @@ std::string bench_to_json(const BenchReport& r) {
 
 namespace {
 
-std::vector<double> number_array(const JsonValue& v, const char* what) {
-  std::vector<double> out;
-  for (const auto& e : as<JsonArray>(v, what)) out.push_back(as_number(e, what));
-  return out;
-}
-
-std::vector<std::vector<double>> nested_number_array(const JsonValue& v,
-                                                     const char* what) {
-  std::vector<std::vector<double>> out;
-  for (const auto& e : as<JsonArray>(v, what))
-    out.push_back(number_array(e, what));
-  return out;
+void JsonReader::read(const char* what, BenchSeries& s) {
+  const std::vector<std::string> keys =
+      object(what, [&](const std::string& key) {
+        if (key == "name") return read("series name", s.name);
+        // Only the channel table's keys: a misspelt key would otherwise
+        // drop its gate without a word.
+        const Channel* ch = find_row(kChannels, &Channel::key, key);
+        if (ch == nullptr)
+          fail("series '" + s.name + "' has unknown key '" + key + "'");
+        with_field(s, ch->field, [&](auto& f) { read(key.c_str(), f); });
+        // The writer omits an absent channel instead of writing it empty.
+        if (!present(s, *ch))
+          fail("series '" + s.name + "' has an empty '" + key + "'");
+      });
+  if (!contains(keys, "name"))
+    throw InvalidInput("bench JSON: missing key 'name'");
 }
 
 }  // namespace
 
 BenchReport bench_from_json(const std::string& text) {
-  const JsonValue root = JsonParser(text).parse();
-  const JsonObject& o = as<JsonObject>(root, "report");
-
+  JsonReader in(text);
   BenchReport r;
-  for (const auto& [key, value] : o) {
-    if (key == "bench") {
-      r.bench = as<std::string>(value, "bench");
-    } else if (key == "grid") {
-      r.grid = as<std::string>(value, "grid");
-    } else if (key == "mode") {
-      r.mode = as<std::string>(value, "mode");
-    } else if (key == "verb") {
-      // Canonicalised through the shared verb vocabulary: an unknown verb
-      // is the same one-line diagnostic the CLI emits.
-      r.verb = std::string(
-          collective::verb_name(collective::to_verb(as<std::string>(value, "verb"))));
-    } else if (key == "root") {
-      const std::uint64_t root = as_u64(value, "root");
-      if (root > std::numeric_limits<ClusterId>::max())
-        throw InvalidInput("bench JSON: 'root' is out of range (max " +
-                           std::to_string(std::numeric_limits<ClusterId>::max()) +
-                           ")");
-      r.root = static_cast<ClusterId>(root);
-    } else if (key == "seed") {
-      r.seed = as_u64(value, "seed");
-    } else if (key == "jitter") {
-      r.jitter = as_number(value, "jitter");
-    } else if (key == "iterations") {
-      r.iterations = as_u64(value, "iterations");
-    } else if (key == "block_iters") {
-      r.block_iters = as_u64(value, "block_iters");
-    } else if (key == "shards") {
-      r.shards = as_u64(value, "shards");
-    } else if (key == "shard") {
-      r.shard = as_u64(value, "shard");
-    } else if (key == "threads") {
-      // Historical BENCH_sweep.json field; accepted and ignored.
-    } else if (key == "sizes" || key == "clusters" || key == "requests") {
-      if (!r.sizes.empty())
-        throw InvalidInput(
-            "bench JSON: 'sizes', 'clusters' and 'requests' are mutually "
-            "exclusive");
-      for (const auto& v : as<JsonArray>(value, "sizes"))
-        r.sizes.push_back(as_u64(v, "sizes[]"));
-      if (r.sizes.empty())
-        throw InvalidInput("bench JSON: empty '" + key + "' axis");
-    } else if (key == "series") {
-      for (const auto& sv : as<JsonArray>(value, "series")) {
-        const JsonObject& so = as<JsonObject>(sv, "series[]");
-        BenchSeries s;
-        s.name = as<std::string>(require(so, "name"), "series name");
-        if (const JsonValue* w = find(so, "wall_time_s"))
-          s.wall_time_s = as_number(*w, "wall_time_s");
-        const JsonValue* mk = find(so, "makespan_s");
-        const JsonValue* bs = find(so, "block_sum_s");
-        const JsonValue* tp = find(so, "throughput");
-        if ((mk != nullptr) + (bs != nullptr) + (tp != nullptr) != 1)
-          throw InvalidInput("bench JSON: series '" + s.name +
-                             "' needs exactly one of 'makespan_s', "
-                             "'block_sum_s' and 'throughput'");
-        if (mk != nullptr) s.makespan_s = number_array(*mk, "makespan_s");
-        if (bs != nullptr) s.block_sum_s = nested_number_array(*bs, "block_sum_s");
-        if (tp != nullptr) s.throughput = number_array(*tp, "throughput");
-        if (const JsonValue* h = find(so, "hits")) {
-          if (mk == nullptr)
-            throw InvalidInput("bench JSON: series '" + s.name +
-                               "' mixes 'hits' with shard-form data");
-          s.hits = number_array(*h, "hits");
+  const std::vector<std::string> keys =
+      in.object("report", [&](const std::string& key) {
+        if (key == "series") {
+          in.read("series", r.series);
+        } else if (const HeaderKey* h =
+                       find_row(kHeader, &HeaderKey::key, key)) {
+          with_field(r, h->field, [&](auto& f) { in.read(key.c_str(), f); });
+        } else if (find_row(kKinds, &Kind::axis, key) != nullptr) {
+          in.read(key.c_str(), r.sizes);
+        } else {
+          in.fail("unknown key '" + key + "'");
         }
-        if (const JsonValue* bh = find(so, "block_hits")) {
-          if (bs == nullptr)
-            throw InvalidInput("bench JSON: series '" + s.name +
-                               "' has 'block_hits' without 'block_sum_s'");
-          s.block_hits = nested_number_array(*bh, "block_hits");
-        }
-        if (const JsonValue* sc = find(so, "micro_scheduling_cost_s")) {
-          if (mk == nullptr)
-            throw InvalidInput("bench JSON: series '" + s.name +
-                               "' needs 'makespan_s' cells to carry "
-                               "micro_scheduling_cost_s");
-          s.micro_scheduling_cost_s =
-              number_array(*sc, "micro_scheduling_cost_s");
-        }
-        r.series.push_back(std::move(s));
-      }
-    } else {
-      throw InvalidInput("bench JSON: unknown key '" + key + "'");
-    }
-  }
-  if ((find(o, "sizes") == nullptr && find(o, "clusters") == nullptr &&
-       find(o, "requests") == nullptr) ||
-      find(o, "series") == nullptr)
-    throw InvalidInput(
-        "bench JSON: missing 'sizes'/'clusters'/'requests' or 'series'");
-  if (r.shards == 0 || r.shard >= r.shards)
-    throw InvalidInput("bench JSON: shard index out of range");
-
-  // Axis spelling is tied to the report kind: size sweeps use "sizes",
-  // Monte-Carlo races use "clusters", serve replays use "requests".  A
-  // mismatch is format drift.
-  const char* want_axis =
-      r.is_montecarlo() ? "clusters" : r.is_serve() ? "requests" : "sizes";
-  for (const char* axis_key : {"sizes", "clusters", "requests"})
-    if (find(o, axis_key) != nullptr &&
-        std::string_view(axis_key) != want_axis)
-      throw InvalidInput("bench JSON: axis key '" + std::string(axis_key) +
+      });
+  in.end();
+  // Canonicalised through the shared verb vocabulary: an unknown verb is
+  // the same one-line diagnostic the CLI emits.
+  r.verb = std::string(collective::verb_name(collective::to_verb(r.verb)));
+  if (const std::string v = bench_violation(r); !v.empty())
+    throw InvalidInput("bench JSON: " + v);
+  // The keys present must be exactly the keys the writer emits.
+  for (const std::string& key : keys)
+    if (key != kind_of(r).axis &&
+        find_row(kKinds, &Kind::axis, key) != nullptr)
+      throw InvalidInput("bench JSON: axis key '" + key +
                          "' does not match bench kind '" + r.bench + "'");
-  if (r.is_montecarlo()) {
-    if (r.iterations == 0)
-      throw InvalidInput("bench JSON: montecarlo report needs iterations >= 1");
-    if (find(o, "verb") != nullptr)
-      throw InvalidInput(
-          "bench JSON: 'verb' is a sweep-only key (Monte-Carlo races "
-          "broadcast by definition)");
-  } else {
-    if (find(o, "iterations") != nullptr || find(o, "block_iters") != nullptr)
-      throw InvalidInput(
-          "bench JSON: 'iterations'/'block_iters' are montecarlo-only keys");
-  }
-  if (r.is_micro()) {
-    // The throughput lane has no collective verb and no shard partition:
-    // each series is one whole-machine measurement.
-    if (find(o, "verb") != nullptr)
-      throw InvalidInput("bench JSON: micro reports have no verb axis");
-    if (find(o, "shards") != nullptr || find(o, "shard") != nullptr)
-      throw InvalidInput("bench JSON: micro reports cannot be sharded");
-  }
-  if (r.is_serve()) {
-    // A replayed request log mixes verbs and roots per request, and one
-    // replay is one whole-service measurement: no verb axis, no shards.
-    if (find(o, "verb") != nullptr)
-      throw InvalidInput("bench JSON: serve reports have no verb axis");
-    if (find(o, "shards") != nullptr || find(o, "shard") != nullptr)
-      throw InvalidInput("bench JSON: serve reports cannot be sharded");
-  }
-
-  const bool shard_form = r.shard_form();
-  if (shard_form) {
-    if (!r.is_montecarlo())
-      throw InvalidInput("bench JSON: 'block_sum_s' is montecarlo-only");
-    if (r.block_iters == 0)
-      throw InvalidInput(
-          "bench JSON: shard-form report needs 'block_iters' >= 1");
-    if (r.shards <= 1)
-      throw InvalidInput(
-          "bench JSON: shard-form report without a shard partition");
-  } else if (r.block_iters != 0) {
-    throw InvalidInput(
-        "bench JSON: 'block_iters' without shard-form series data");
-  }
-
-  for (const auto& s : r.series) {
-    if (!r.is_montecarlo() && !s.hits.empty())
-      throw InvalidInput("bench JSON: 'hits' is montecarlo-only");
-    if (!s.micro_scheduling_cost_s.empty()) {
-      if (r.bench != "race")
-        throw InvalidInput(
-            "bench JSON: 'micro_scheduling_cost_s' is a size-sweep-only key");
-      if (s.micro_scheduling_cost_s.size() != r.sizes.size())
-        throw InvalidInput("bench JSON: series '" + s.name +
-                           "' micro_scheduling_cost_s does not cover the "
-                           "axis");
-    }
-    if (shard_form != !s.block_sum_s.empty())
-      throw InvalidInput("bench JSON: series '" + s.name +
-                         "' mixes shard-form and final-form data");
-    if (r.is_micro()) {
-      if (s.throughput.size() != r.sizes.size())
-        throw InvalidInput("bench JSON: micro series '" + s.name +
-                           "' needs 'throughput' covering the axis");
-    } else if (r.is_serve()) {
-      // Either channel (exact value cells or lower-bounded throughput),
-      // covering the axis.
-      const std::vector<double>& cells =
-          s.throughput.empty() ? s.makespan_s : s.throughput;
-      if (cells.size() != r.sizes.size())
-        throw InvalidInput("bench JSON: serve series '" + s.name +
-                           "' cells do not cover the axis");
-    } else if (!s.throughput.empty()) {
-      throw InvalidInput("bench JSON: 'throughput' is micro-only");
-    } else if (!shard_form) {
-      if (s.makespan_s.size() != r.sizes.size())
-        throw InvalidInput("bench JSON: series '" + s.name + "' has " +
-                           std::to_string(s.makespan_s.size()) +
-                           " cells for " + std::to_string(r.sizes.size()) +
-                           " axis points");
-      if (!s.hits.empty() && s.hits.size() != r.sizes.size())
-        throw InvalidInput("bench JSON: series '" + s.name +
-                           "' hits do not cover the axis");
-    } else {
-      const std::size_t blocks = r.block_count();
-      const auto check_shape = [&](const std::vector<std::vector<double>>& a,
-                                   const char* what) {
-        if (a.size() != r.sizes.size())
-          throw InvalidInput("bench JSON: series '" + s.name + "' " + what +
-                             " does not cover the axis");
-        for (const auto& row : a)
-          if (row.size() != blocks)
-            throw InvalidInput("bench JSON: series '" + s.name + "' " + what +
-                               " has a row with " +
-                               std::to_string(row.size()) + " blocks, want " +
-                               std::to_string(blocks));
-      };
-      check_shape(s.block_sum_s, "block_sum_s");
-      if (!s.block_hits.empty()) check_shape(s.block_hits, "block_hits");
-    }
+  if (!contains(keys, "series"))
+    throw InvalidInput("bench JSON: missing key 'series'");
+  for (const HeaderKey& h : kHeader) {
+    const std::string key(h.key);
+    if (contains(keys, key) && !carries(h, r))
+      throw InvalidInput("bench JSON: '" + key +
+                         "' does not belong in this report");
+    if (!contains(keys, key) && carries(h, r))
+      throw InvalidInput("bench JSON: missing key '" + key + "'");
   }
   return r;
 }
@@ -745,164 +693,119 @@ BenchReport read_bench_json(std::istream& is) {
   return bench_from_json(buf.str());
 }
 
+bool shardable(const BenchReport& r) { return kind_of(r).shards; }
+
+std::string axis_point(const BenchReport& r, std::size_t i) {
+  return std::string(kind_of(r).point) + " " + std::to_string(r.sizes[i]);
+}
+
+std::string run_mismatch(const BenchReport& baseline,
+                         const BenchReport& current) {
+  for (const HeaderKey& h : kHeader) {
+    if (h.label.empty() || !(carries(h, baseline) || carries(h, current)))
+      continue;
+    const auto text = [&](const BenchReport& r) {
+      return with_field(r, h.field,
+                        [](const auto& v) { return value_text(v); });
+    };
+    if (text(baseline) != text(current))
+      return std::string(h.label) + " mismatch: baseline " + text(baseline) +
+             " vs current " + text(current);
+  }
+  // For serve reports the ladder is the replayed request count: a
+  // mismatch means another log, which no tolerance can absorb.
+  if (baseline.sizes != current.sizes)
+    return std::string(kind_of(baseline).point) + " ladder mismatch (" +
+           std::to_string(baseline.sizes.size()) + " baseline vs " +
+           std::to_string(current.sizes.size()) + " current points)";
+  return {};
+}
+
+namespace {
+
+/// The problem with current cell `c` of `ch` against baseline cell `b`,
+/// or empty when it passes its gate.  A NaN current cell fails: every
+/// comparison with NaN is false.
+std::string gate_problem(const BenchReport& r, const std::string& series,
+                         const Channel& ch, std::size_t i, double b, double c,
+                         const BenchCompareOptions& opts) {
+  double bound = 0.0;
+  bool ok = true;
+  switch (ch.gate) {
+    case Gate::kRtol:
+      ok = std::abs(c - b) <=
+           opts.makespan_rtol * std::max(std::abs(b), 1e-300);
+      break;
+    case Gate::kExact:
+      ok = c == b;
+      break;
+    case Gate::kFloor:
+      bound = b / opts.throughput_factor;
+      ok = c >= bound;
+      break;
+    case Gate::kCeiling:
+      bound = b * opts.wall_factor;
+      ok = c <= bound;
+      break;
+    case Gate::kNone:
+      break;
+  }
+  if (ok) return {};
+  const bool bounded = ch.gate == Gate::kFloor || ch.gate == Gate::kCeiling;
+  const std::string unit(ch.unit);
+  std::string p = "series '" + series + "' " + std::string(ch.label) +
+                  (bounded ? " regression" : " drift");
+  if (std::holds_alternative<Points>(ch.field)) p += " at " + axis_point(r, i);
+  p += ": baseline " + value_text(b) + unit +
+       (bounded ? ", current " : " vs current ") + value_text(c) + unit;
+  if (bounded)
+    p += (ch.gate == Gate::kFloor ? " (floor " : " (limit ") +
+         value_text(bound) + unit + ")";
+  return p;
+}
+
+}  // namespace
+
 std::vector<std::string> compare_bench(const BenchReport& baseline,
                                        const BenchReport& current,
                                        const BenchCompareOptions& opts) {
+  if (baseline.shard_form() || current.shard_form())
+    return {"shard-form report: merge the shards before comparing"};
+  // Another kind, verb, seed or ladder is one problem: per-cell drift
+  // messages would only obscure it.
+  if (std::string m = run_mismatch(baseline, current); !m.empty()) return {m};
+
   std::vector<std::string> problems;
-  const auto add = [&](std::string p) { problems.push_back(std::move(p)); };
-
-  if (baseline.bench != current.bench) {
-    add("bench kind mismatch: baseline '" + baseline.bench +
-        "' vs current '" + current.bench + "'");
-    return problems;
-  }
-  if (baseline.verb != current.verb) {
-    // A scatter report against a broadcast baseline is apples to oranges;
-    // per-cell drift messages would only obscure that.
-    add("verb mismatch: baseline '" + baseline.verb + "' vs current '" +
-        current.verb + "'");
-    return problems;
-  }
-  if (baseline.shard_form() || current.shard_form()) {
-    add("shard-form report: merge the shards before comparing");
-    return problems;
-  }
-  if (baseline.grid != current.grid)
-    add("grid mismatch: baseline '" + baseline.grid + "' vs current '" +
-        current.grid + "'");
-  if (baseline.is_montecarlo()) {
-    if (baseline.seed != current.seed)
-      add("seed mismatch: baseline " + std::to_string(baseline.seed) +
-          " vs current " + std::to_string(current.seed) +
-          " (the instance draws differ)");
-    if (baseline.iterations != current.iterations) {
-      add("iteration-count mismatch: baseline " +
-          std::to_string(baseline.iterations) + " vs current " +
-          std::to_string(current.iterations));
-      return problems;  // means and hit counts would differ by design
-    }
-  }
-  if (baseline.mode != current.mode)
-    add("mode mismatch: baseline '" + baseline.mode + "' vs current '" +
-        current.mode + "'");
-  else if (baseline.mode == "measured" &&
-           (baseline.seed != current.seed ||
-            baseline.jitter != current.jitter)) {
-    // Same rule the shard merger enforces: measured numbers are only
-    // comparable under one (seed, jitter).  Diagnose it as one problem
-    // instead of a per-cell drift cascade.
-    add("measured-mode seed/jitter mismatch: baseline (" +
-        std::to_string(baseline.seed) + ", " +
-        std::to_string(baseline.jitter) + ") vs current (" +
-        std::to_string(current.seed) + ", " + std::to_string(current.jitter) +
-        ")");
-    return problems;
-  }
-  if (baseline.root != current.root)
-    add("root mismatch: baseline " + std::to_string(baseline.root) +
-        " vs current " + std::to_string(current.root));
-  const char* axis = baseline.is_montecarlo() ? "clusters"
-                     : baseline.is_serve()    ? "requests"
-                                              : "size";
-  if (baseline.sizes != current.sizes) {
-    // For serve reports the "ladder" is the replayed request count — a
-    // mismatch means a different log, which no tolerance can absorb.
-    add(std::string(baseline.is_montecarlo() ? "cluster-count"
-                    : baseline.is_serve()    ? "request-count"
-                                             : "size") +
-        " ladder mismatch (" + std::to_string(baseline.sizes.size()) +
-        " baseline vs " + std::to_string(current.sizes.size()) +
-        " current points)");
-    return problems;  // per-cell comparison would be meaningless
-  }
-
   for (const auto& cur : current.series)
     if (baseline.find_series(cur.name) == nullptr)
-      add("extra series '" + cur.name +
-          "' not in baseline (new heuristic? regenerate the baseline)");
-
+      problems.push_back("extra series '" + cur.name +
+                         "' not in baseline (new heuristic? regenerate the "
+                         "baseline)");
   for (const auto& base : baseline.series) {
     const BenchSeries* cur = current.find_series(base.name);
     if (cur == nullptr) {
-      add("missing series '" + base.name + "'");
+      problems.push_back("missing series '" + base.name + "'");
       continue;
     }
-    for (std::size_t i = 0; i < base.makespan_s.size(); ++i) {
-      const double b = base.makespan_s[i];
-      const double c = cur->makespan_s[i];
-      if (std::isnan(b)) continue;  // baseline never measured this cell
-      // Written so NaN on the current side fails (any comparison with
-      // NaN is false, so the negation trips).
-      const double tol = opts.makespan_rtol * std::max(std::abs(b), 1e-300);
-      if (!(std::abs(c - b) <= tol))
-        add("series '" + base.name + "' makespan drift at " + axis + " " +
-            std::to_string(baseline.sizes[i]) + ": baseline " +
-            std::to_string(b) + " vs current " + std::to_string(c));
-    }
-    // Hit counts are deterministic integers under a fixed seed; any
-    // difference is a behaviour change, so the comparison is exact.
-    if (!base.hits.empty()) {
-      if (cur->hits.empty()) {
-        add("series '" + base.name + "' is missing hit counts");
-      } else {
-        for (std::size_t i = 0; i < base.hits.size(); ++i)
-          if (!(base.hits[i] == cur->hits[i]))
-            add("series '" + base.name + "' hit-count drift at " + axis +
-                " " + std::to_string(baseline.sizes[i]) + ": baseline " +
-                std::to_string(static_cast<std::uint64_t>(base.hits[i])) +
-                " vs current " +
-                std::to_string(static_cast<std::uint64_t>(cur->hits[i])));
+    for (const Channel& ch : kChannels) {
+      const auto cells = [&](const BenchSeries& s) {
+        return with_field(s, ch.field, [](const auto& v) { return gated(v); });
+      };
+      const std::span<const double> b = cells(base);
+      const std::span<const double> c = cells(*cur);
+      if (b.empty()) continue;
+      if (c.size() != b.size()) {
+        problems.push_back("series '" + base.name + "' is missing " +
+                           std::string(ch.key));
+        continue;
       }
-    }
-    // Micro reports gate on throughput: a higher-is-better axis, so the
-    // regression test is a *lower bound* (current >= baseline / factor).
-    // Written so NaN on the current side fails.
-    if (!base.throughput.empty() &&
-        cur->throughput.size() != base.throughput.size()) {
-      add("series '" + base.name + "' is missing throughput");
-      continue;
-    }
-    for (std::size_t i = 0; i < base.throughput.size(); ++i) {
-      const double b = base.throughput[i];
-      const double c = cur->throughput[i];
-      if (std::isnan(b)) continue;  // baseline never measured this cell
-      const double floor = b / opts.throughput_factor;
-      if (!(c >= floor))
-        add("series '" + base.name + "' throughput regression at " + axis +
-            " " + std::to_string(baseline.sizes[i]) + ": baseline " +
-            std::to_string(b) + " items/s, current " + std::to_string(c) +
-            " items/s (floor " + std::to_string(floor) + " items/s)");
-    }
-    // Selection cost is host-dependent like wall_time_s, so the gate is
-    // the same one-sided budget: current <= baseline * wall_factor.
-    // Written so NaN on the current side fails.
-    if (!base.micro_scheduling_cost_s.empty() &&
-        cur->micro_scheduling_cost_s.size() !=
-            base.micro_scheduling_cost_s.size()) {
-      add("series '" + base.name + "' is missing micro_scheduling_cost_s");
-      continue;
-    }
-    for (std::size_t i = 0; i < base.micro_scheduling_cost_s.size(); ++i) {
-      const double b = base.micro_scheduling_cost_s[i];
-      const double c = cur->micro_scheduling_cost_s[i];
-      if (std::isnan(b)) continue;  // baseline never measured this cell
-      const double limit = b * opts.wall_factor;
-      if (!(c <= limit))
-        add("series '" + base.name +
-            "' micro_scheduling_cost_s regression at " + axis + " " +
-            std::to_string(baseline.sizes[i]) + ": baseline " +
-            std::to_string(b) + "s, current " + std::to_string(c) +
-            "s (limit " + std::to_string(limit) + "s)");
-    }
-    if (!std::isnan(base.wall_time_s)) {
-      const double limit = base.wall_time_s * opts.wall_factor;
-      if (std::isnan(cur->wall_time_s))
-        add("series '" + base.name + "' is missing wall_time_s");
-      else if (!(cur->wall_time_s <= limit))
-        add("series '" + base.name + "' wall_time_s regression: baseline " +
-            std::to_string(base.wall_time_s) + "s, current " +
-            std::to_string(cur->wall_time_s) + "s (limit " +
-            std::to_string(limit) + "s)");
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        if (std::isnan(b[i])) continue;  // the baseline never measured it
+        if (std::string p = gate_problem(baseline, base.name, ch, i, b[i],
+                                         c[i], opts);
+            !p.empty())
+          problems.push_back(std::move(p));
+      }
     }
   }
   return problems;

@@ -20,20 +20,23 @@
 /// cannot corrupt the output.
 namespace gridcast::io {
 
-/// One strategy's row: makespan per sweep size plus (optionally) the
-/// wall-clock cost of computing its schedules.  NaN marks "absent": a
-/// sharded run leaves foreign cells NaN (written as `null`), and
-/// `wall_time_s` is NaN unless the producer timed scheduling.
+/// One strategy's row.  Each vector field is a *channel*: the grammar's
+/// channel table (bench_json.cpp) gives its JSON key (the field's name),
+/// its shape and how the baseline gate compares it; the kind table gives
+/// which channels each report kind's series may carry.  Every series
+/// carries exactly one value channel (`makespan_s`, `block_sum_s` or
+/// `throughput`) covering the axis.  NaN marks "absent": a sharded sweep
+/// leaves foreign cells NaN (written as `null`), and `wall_time_s` is NaN
+/// unless the producer timed scheduling.
 ///
-/// Monte-Carlo race reports (`bench == "montecarlo"`) carry two more
-/// shapes of data.  Final reports put the per-point *mean* completion in
-/// `makespan_s` and the per-point hit counts (iterations where the series
-/// matched the global minimum; ties credit every achiever) in `hits`.
-/// Shard-form reports instead carry per-(point, iteration-block) partial
-/// sums in `block_sum_s` / `block_hits`, with NaN marking blocks the shard
-/// does not own — merging folds blocks in block order, so the merged means
-/// are byte-identical to an unsharded run.  Exactly one of `makespan_s`
-/// and `block_sum_s` is present per series.
+/// Monte-Carlo race reports (`bench == "montecarlo"`) put the per-point
+/// *mean* completion in `makespan_s` and the per-point hit counts
+/// (iterations where the series matched the global minimum; ties credit
+/// every achiever) in `hits`.  Their shard form carries per-(point,
+/// iteration-block) partial sums in `block_sum_s` / `block_hits` instead,
+/// with NaN marking blocks the shard does not own — merging folds blocks
+/// in block order, so the merged means are byte-identical to an unsharded
+/// run.
 struct BenchSeries {
   std::string name;
   double wall_time_s = std::numeric_limits<double>::quiet_NaN();
@@ -41,57 +44,33 @@ struct BenchSeries {
   std::vector<double> hits;        ///< per point; empty = not tracked
   std::vector<std::vector<double>> block_sum_s;  ///< [point][block]
   std::vector<std::vector<double>> block_hits;   ///< [point][block]
-  /// Micro-throughput reports (`bench == "micro"`) only: items per second
-  /// at each axis point (events/sec, sends/sec, ...).  Replaces
-  /// `makespan_s` for that kind; empty everywhere else.
-  std::vector<double> throughput;
-  /// Size sweeps (`bench == "race"`, final form) only, opt-in: seconds to
-  /// *select* one schedule at each ladder point (min over timing passes),
-  /// so composite selectors ("auto") carry their per-selection overhead
-  /// next to the makespans they won.  Host-dependent like `wall_time_s`,
-  /// and gated the same way: one-sided, current <= baseline * wall_factor,
-  /// NaN baseline cells skipped.
+  std::vector<double> throughput;  ///< items per second at each point
+  /// Seconds to *select* one schedule at each ladder point (opt-in), so
+  /// composite selectors ("auto") carry their per-selection overhead next
+  /// to the makespans they won.
   std::vector<double> micro_scheduling_cost_s;
 };
 
-/// A full report: the sweep axis, per-series results, and enough metadata
+/// A full report: the axis, per-series results, and enough metadata
 /// (grid, mode, root, seed/jitter, shard coordinates) to refuse apples-to-
 /// oranges comparisons and merges.
 ///
-/// Two report kinds share the grammar.  Message-size sweeps
-/// (`bench == "race"`) put the byte ladder in `sizes`, serialised under the
-/// JSON key "sizes".  Monte-Carlo races (`bench == "montecarlo"`, the
-/// Figs. 1-4 experiment) put the *cluster counts* in the same axis vector,
-/// serialised under the key "clusters", and additionally record the
-/// Monte-Carlo depth per point (`iterations`, always) and the block size
-/// of the deterministic shard partition (`block_iters`, shard-form reports
-/// only — merged reports drop it).
-/// A third kind, `bench == "micro"`, carries the simulator throughput
-/// lane: the axis is the per-run workload scale (scheduled events), every
-/// series reports `throughput` (items/sec) instead of `makespan_s`, and
-/// the CI gate is a *lower bound* (current >= baseline / throughput_factor)
-/// because wall-clock throughput is machine-dependent where makespans are
-/// exact.  Micro reports refuse the sweep-only axes that cannot apply to
-/// them: verb, sharding, and Monte-Carlo iteration keys.
-/// A fourth kind, `bench == "serve"`, reports a serving-layer request-log
-/// replay: its one-point axis is the request count, serialised under the
-/// key "requests" (so compares refuse mismatched logs the same way they
-/// refuse mismatched ladders).  The deterministic series (hit_rate and
-/// the counter cells) use `makespan_s` as a generic exact value channel;
-/// opt-in timing series carry `throughput` (requests/sec, lower-bounded)
-/// and `wall_time_s` (latency percentiles, upper-bounded) with a null
-/// value cell.  A replayed log mixes verbs and roots per request, so
-/// serve reports refuse the verb key and the shard axes like micro does.
+/// The grammar's kind table (bench_json.cpp) states, for each of the four
+/// kinds, the JSON key of its axis — `sizes` for message-size sweeps
+/// (`"race"`, Figs. 5/6) and the simulator throughput lane (`"micro"`),
+/// `clusters` for Monte-Carlo races (`"montecarlo"`, Figs. 1-4),
+/// `requests` for serve replays (`"serve"`) — which header keys it may
+/// carry (a verb, shard coordinates, Monte-Carlo seed, `iterations` and
+/// `block_iters`) and which channels its series may hold.  The header
+/// list there states when the writer emits each optional key; the reader
+/// accepts exactly those keys.
 struct BenchReport {
   /// "race" (size sweep) | "montecarlo" | "micro" | "serve"
   std::string bench = "race";
   std::string grid;
   std::string mode = "predicted";  ///< "predicted" | "measured"
   /// The collective the sweep raced: "bcast" | "scatter" | "alltoall"
-  /// (canonical `collective::verb_name` spellings).  Serialised only when
-  /// not "bcast", so default-verb reports stay byte-identical to the
-  /// pre-verb-axis grammar; Monte-Carlo races are broadcast by definition
-  /// and may not carry the key.
+  /// (canonical `collective::verb_name` spellings).
   std::string verb = "bcast";
   ClusterId root = 0;
   std::uint64_t seed = 0;          ///< measured sweeps + all montecarlo runs
@@ -100,19 +79,11 @@ struct BenchReport {
   std::uint64_t block_iters = 0;   ///< montecarlo shard-form only
   std::size_t shards = 1;          ///< total shards (1 = unsharded)
   std::size_t shard = 0;           ///< this report's shard index
-  std::vector<Bytes> sizes;        ///< byte ladder or cluster counts
+  std::vector<Bytes> sizes;        ///< the axis: sizes, clusters or requests
   std::vector<BenchSeries> series;
 
   [[nodiscard]] const BenchSeries* find_series(std::string_view name) const;
 
-  /// Monte-Carlo race report (cluster-count axis, hits, iterations)?
-  [[nodiscard]] bool is_montecarlo() const noexcept {
-    return bench == "montecarlo";
-  }
-  /// Micro-throughput report (workload axis, throughput series)?
-  [[nodiscard]] bool is_micro() const noexcept { return bench == "micro"; }
-  /// Serving-layer replay report (request-count axis)?
-  [[nodiscard]] bool is_serve() const noexcept { return bench == "serve"; }
   /// Carries per-block shard partials instead of final per-point values?
   [[nodiscard]] bool shard_form() const noexcept;
   /// Number of iteration blocks per point: ceil(iterations / block_iters).
@@ -124,38 +95,63 @@ struct BenchReport {
 /// backslashes, and control characters; UTF-8 passes through).
 [[nodiscard]] std::string json_escape(std::string_view s);
 
-/// Serialise deterministically (17 significant digits, NaN → null,
-/// shard fields only when shards > 1, seed/jitter only in measured mode).
+/// The grammar's one validator: empty when `r` is well-formed, else its
+/// first violation as one line.  The reader throws it as InvalidInput,
+/// the shard merge checks every shard with it, and the writer checks it
+/// under GRIDCAST_DCHECK — guarding the producers (a bench or sweep that
+/// assembles a report by hand), so a malformed report fails at the write
+/// site on the Debug/sanitizer lanes instead of surfacing as a confusing
+/// parse error (or a silently wrong baseline) downstream.
+[[nodiscard]] std::string bench_violation(const BenchReport& r);
+
+/// Serialise deterministically (17 significant digits, NaN → null, fixed
+/// key order, each optional header key and channel only when present).
 void write_bench_json(std::ostream& os, const BenchReport& r);
 [[nodiscard]] std::string bench_to_json(const BenchReport& r);
 
-/// Parse a report written by `write_bench_json` (strict: malformed JSON,
-/// unknown keys, or type mismatches throw InvalidInput).
+/// Parse a report written by `write_bench_json`.  Strict: malformed JSON,
+/// a key the writer would not emit for this report (a misspelt series key
+/// included), a missing key, a type mismatch or a `bench_violation`
+/// throws a one-line InvalidInput.
 [[nodiscard]] BenchReport read_bench_json(std::istream& is);
 [[nodiscard]] BenchReport bench_from_json(const std::string& text);
 
-/// Tolerances for the CI regression gate.
+/// Can reports of r's kind be sharded?  Size sweeps and Monte-Carlo races
+/// can; micro and serve reports cannot.  Requires a known kind.
+[[nodiscard]] bool shardable(const BenchReport& r);
+
+/// Axis point `i` named for a diagnostic ("size 262144", "cluster-count
+/// 5", "request-count 240").  Requires a known kind.
+[[nodiscard]] std::string axis_point(const BenchReport& r, std::size_t i);
+
+/// Whether `current` is another run than `baseline`: the first header key
+/// the writer emits for either report (all but the shard coordinates)
+/// whose values differ, or a different axis, as one line; empty when both
+/// describe one run.  compare_bench reports it instead of comparing cells,
+/// and the shard merge refuses a shard set it separates.
+[[nodiscard]] std::string run_mismatch(const BenchReport& baseline,
+                                       const BenchReport& current);
+
+/// Tolerances for the CI regression gate; the channel table says which
+/// channel each one bounds.  The factors are generous: CI machines are
+/// slower and noisier than the one that recorded a baseline.
 struct BenchCompareOptions {
   /// Relative tolerance on per-cell makespan drift (the model is
   /// deterministic; this only absorbs cross-platform float noise).
   double makespan_rtol = 1e-6;
-  /// A series regresses when wall_time_s exceeds baseline * wall_factor
-  /// (generous: CI machines are slower and noisier than the one that
-  /// recorded the baseline).
-  double wall_factor = 10.0;
-  /// Micro reports: a series regresses when its throughput falls below
-  /// baseline / throughput_factor (same generosity, opposite direction —
-  /// throughput is a higher-is-better axis).
-  double throughput_factor = 10.0;
+  double wall_factor = 10.0;        ///< ceiling: baseline * wall_factor
+  double throughput_factor = 10.0;  ///< floor: baseline / throughput_factor
 };
 
 /// Compare `current` against `baseline`; returns one human-readable
-/// problem per violation (empty = gate passes).  Violations: metadata or
-/// axis mismatch, shard-form (unmerged) inputs, missing/extra series,
-/// uncomputed (NaN) cells, makespan drift past `makespan_rtol`, hit-count
-/// drift (exact: hits are deterministic integers), wall-time regression
-/// past `wall_factor`, throughput shortfall below baseline /
-/// `throughput_factor` (micro reports).
+/// problem per violation (empty = gate passes).  A shard-form (unmerged)
+/// input or a `run_mismatch` is the one problem; otherwise each missing or
+/// extra series, each gated channel the baseline carries and the current
+/// series lacks, and each cell outside its channel's gate: makespan drift
+/// past `makespan_rtol`, any hit-count drift (hits are deterministic
+/// integers), throughput below baseline / `throughput_factor`, wall time
+/// or selection cost above baseline * `wall_factor`.  NaN baseline cells
+/// are skipped; a NaN current cell fails.
 [[nodiscard]] std::vector<std::string> compare_bench(
     const BenchReport& baseline, const BenchReport& current,
     const BenchCompareOptions& opts = {});

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string_view>
 
 #include "support/error.hpp"
 
@@ -16,6 +17,27 @@
 /// trivially seedable from a hash of (seed, stream).
 namespace gridcast {
 
+/// The SplitMix64 finalizer: a bijective 64-bit mix, the dispersion step
+/// of `Rng` and of every seed derived from (seed, coordinates).
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// FNV-1a over a name: stable across platforms, and a seed derived from it
+/// follows a series by name, not by its position in a competitor list.
+/// The offset is not the standard 64-bit basis (14695981039346656037), but
+/// every sweep cell seed and race draw derives from it, so it stays.
+[[nodiscard]] constexpr std::uint64_t name_hash(std::string_view s) noexcept {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 /// 64-bit splittable PRNG with uniform helpers.
 class Rng {
  public:
@@ -27,7 +49,7 @@ class Rng {
   /// double SplitMix64 finalizer over the (seed, id) pair.
   [[nodiscard]] static Rng stream(std::uint64_t seed,
                                   std::uint64_t stream_id) noexcept {
-    Rng r(seed ^ finalize(stream_id + 0x9e3779b97f4a7c15ULL));
+    Rng r(seed ^ mix64(stream_id + 0x9e3779b97f4a7c15ULL));
     r.next();  // decouple from the raw seed mix
     return r;
   }
@@ -35,7 +57,7 @@ class Rng {
   /// Next raw 64-bit value.
   std::uint64_t next() noexcept {
     std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    return finalize(z);
+    return mix64(z);
   }
 
   /// Uniform double in [0, 1).
@@ -112,13 +134,8 @@ class Rng {
   }
 
  private:
-  [[nodiscard]] static std::uint64_t finalize(std::uint64_t z) noexcept {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
   [[nodiscard]] static std::uint64_t mix_seed(std::uint64_t seed) noexcept {
-    return finalize(seed + 0x2545f4914f6cdd1dULL);
+    return mix64(seed + 0x2545f4914f6cdd1dULL);
   }
 
   std::uint64_t state_;

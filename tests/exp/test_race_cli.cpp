@@ -433,7 +433,7 @@ TEST(RaceGrid, ShardCountsOneTwoSevenAreByteIdentical) {
       }
       // Merge order must not matter; rotate the inputs.
       std::rotate(parts.begin(), parts.begin() + 1, parts.end());
-      EXPECT_EQ(io::bench_to_json(merge_race_grid_shards(parts)), unsharded)
+      EXPECT_EQ(io::bench_to_json(merge_race_shards(parts)), unsharded)
           << (realise ? "sim" : "plogp") << " x " << shards << " shards";
     }
   }
@@ -602,24 +602,29 @@ TEST(RaceGrid, MergeRejectsBadShardSets) {
     shards.push_back(run_race_grid(spec, pool));
   }
 
-  EXPECT_THROW((void)merge_race_grid_shards({}), InvalidInput);
-  EXPECT_THROW((void)merge_race_grid_shards({shards[0]}), InvalidInput);
-  EXPECT_THROW((void)merge_race_grid_shards({shards[0], shards[0]}),
+  EXPECT_THROW((void)merge_race_shards({}), InvalidInput);
+  EXPECT_THROW((void)merge_race_shards({shards[0]}), InvalidInput);
+  EXPECT_THROW((void)merge_race_shards({shards[0], shards[0]}),
                InvalidInput);
 
   // A block computed by a shard that does not own it is corruption.
   auto bad = shards;
   bad[1].series[0].block_sum_s = bad[0].series[0].block_sum_s;
-  EXPECT_THROW((void)merge_race_grid_shards(bad), InvalidInput);
+  EXPECT_THROW((void)merge_race_shards(bad), InvalidInput);
 
   // Metadata must agree (a different seed means different draws).
   bad = shards;
   bad[1].seed ^= 1;
-  EXPECT_THROW((void)merge_race_grid_shards(bad), InvalidInput);
+  EXPECT_THROW((void)merge_race_shards(bad), InvalidInput);
 
-  // Monte-Carlo shards must not slip through the sweep merge, nor sweep
-  // shards through this one.
-  EXPECT_THROW((void)merge_race_shards(shards), InvalidInput);
+  // A sweep shard is another run than a Monte-Carlo shard.
+  RaceSpec sweep = two_sched_spec();
+  sweep.shard = {2, 1};
+  const auto grid = topology::grid5000_testbed();
+  InstanceCache cache(grid);
+  bad = shards;
+  bad[1] = run_race_sweep(cache, "grid5000_testbed", sweep, pool);
+  EXPECT_THROW((void)merge_race_shards(bad), InvalidInput);
 }
 
 TEST(RaceGrid, RealiseParityWithTheSampledPath) {
@@ -780,6 +785,22 @@ TEST(RaceCliErrors, JitterOutsideItsRangeIsRejectedAtParseTime) {
   }
   EXPECT_DOUBLE_EQ(parse_race_cli({"--jitter=0.49"}).spec.jitter, 0.49);
   EXPECT_DOUBLE_EQ(parse_race_cli({"--race", "--jitter=0"}).race.jitter, 0.0);
+}
+
+TEST(RaceCliErrors, MergeRefusesKindsThatCannotBeSharded) {
+  // Micro and serve reports have no shard axis.  Their throughput series
+  // used to reach the sweep merge's cell assertion, an internal error.
+  for (const std::string kind : {"micro", "serve"}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(cli_main({"--merge", testing::TempDir() + "/merged.json",
+                        std::string(GRIDCAST_TEST_DATA_DIR) +
+                            "/../../BENCH_baseline_" + kind + ".json"},
+                       out, err),
+              2)
+        << kind;
+    EXPECT_EQ(err.str(), "gridcast_race: merge: " + kind +
+                             " reports cannot be sharded\n");
+  }
 }
 
 TEST(RaceCliDriver, RaceRunMergeAndCheckEndToEnd) {

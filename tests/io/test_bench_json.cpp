@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -291,7 +295,7 @@ TEST(BenchJsonMicro, RoundTripIsByteIdentical) {
   const std::string twice = bench_to_json(bench_from_json(once));
   EXPECT_EQ(once, twice);
   const BenchReport back = bench_from_json(once);
-  EXPECT_TRUE(back.is_micro());
+  EXPECT_EQ(back.bench, "micro");
   ASSERT_EQ(back.series.size(), 2u);
   EXPECT_EQ(back.series[0].throughput, r.series[0].throughput);
 }
@@ -415,7 +419,7 @@ TEST(BenchJsonServe, RoundTripUsesTheRequestsKey) {
   EXPECT_EQ(once.find("\"sizes\""), std::string::npos) << once;
   EXPECT_EQ(bench_to_json(bench_from_json(once)), once);
   const BenchReport back = bench_from_json(once);
-  EXPECT_TRUE(back.is_serve());
+  EXPECT_EQ(back.bench, "serve");
   ASSERT_EQ(back.sizes.size(), 1u);
   EXPECT_EQ(back.sizes[0], 240u);
 }
@@ -505,6 +509,172 @@ TEST(BenchCompareServe, GatesApplyPerChannel) {
   ASSERT_EQ(problems.size(), 1u);
   EXPECT_NE(problems[0].find("wall_time_s regression"), std::string::npos)
       << problems[0];
+}
+
+// ---- The checked-in reports: eight baselines in the source root, three
+// golden fixtures in tests/data.
+
+std::filesystem::path data_dir() { return GRIDCAST_TEST_DATA_DIR; }
+std::filesystem::path source_root() { return data_dir() / ".." / ".."; }
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+std::vector<std::filesystem::path> checked_in_reports() {
+  std::vector<std::filesystem::path> files;
+  for (const auto& e : std::filesystem::directory_iterator(source_root())) {
+    const std::string name = e.path().filename().string();
+    if (name.starts_with("BENCH_baseline") && name.ends_with(".json"))
+      files.push_back(e.path());
+  }
+  for (const auto& e : std::filesystem::directory_iterator(data_dir()))
+    if (e.path().filename().string().ends_with("_golden.json"))
+      files.push_back(e.path());
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+TEST(CheckedInReports, BytesRoundTripAndEveryGatedCellTrips) {
+  const auto files = checked_in_reports();
+  EXPECT_GE(files.size(), 11u);
+  for (const auto& file : files) {
+    SCOPED_TRACE(file.filename().string());
+    const std::string text = slurp(file);
+    const BenchReport r = bench_from_json(text);
+    EXPECT_EQ(bench_to_json(r), text);
+    EXPECT_TRUE(compare_bench(r, r).empty());
+
+    // One non-null cell of each gated channel moved past its tolerance at
+    // the default options is exactly one problem, naming its series.
+    std::size_t probes = 0;
+    const auto probe = [&](std::size_t s, const std::string& channel,
+                           const std::function<void(BenchSeries&)>& move) {
+      BenchReport moved = r;
+      move(moved.series[s]);
+      const auto problems = compare_bench(r, moved);
+      ++probes;
+      ASSERT_EQ(problems.size(), 1u) << r.series[s].name << " " << channel;
+      EXPECT_NE(problems[0].find("'" + r.series[s].name + "'"),
+                std::string::npos)
+          << problems[0];
+    };
+    const auto cells = [&](std::size_t s, const std::string& channel,
+                           std::vector<double> BenchSeries::*field,
+                           double (*moved)(double)) {
+      const std::vector<double>& row = r.series[s].*field;
+      const auto cell = std::find_if(row.begin(), row.end(),
+                                     [](double v) { return !std::isnan(v); });
+      if (cell == row.end()) return;
+      const auto i = static_cast<std::size_t>(cell - row.begin());
+      probe(s, channel, [&](BenchSeries& m) { (m.*field)[i] = moved(*cell); });
+    };
+    for (std::size_t s = 0; s < r.series.size(); ++s) {
+      if (!std::isnan(r.series[s].wall_time_s))
+        probe(s, "wall_time_s",
+              [](BenchSeries& m) { m.wall_time_s *= 11.0; });
+      cells(s, "makespan_s", &BenchSeries::makespan_s,
+            [](double b) { return b == 0.0 ? 1.0 : b * (1.0 + 1e-3); });
+      cells(s, "hits", &BenchSeries::hits, [](double b) { return b + 1.0; });
+      cells(s, "throughput", &BenchSeries::throughput,
+            [](double b) { return b / 11.0; });
+      cells(s, "micro_scheduling_cost_s",
+            &BenchSeries::micro_scheduling_cost_s,
+            [](double b) { return b * 11.0; });
+    }
+    EXPECT_GT(probes, 0u);
+  }
+}
+
+/// `text` must be refused with one line naming `what`.
+void expect_rejected(const std::string& text, const std::string& what) {
+  try {
+    (void)bench_from_json(text);
+    ADD_FAILURE() << "accepted; expected a diagnostic naming " << what;
+  } catch (const InvalidInput& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+    EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+  }
+}
+
+TEST(BenchJson, MisspeltSeriesKeyIsRejectedNotIgnored) {
+  // An unknown series key used to be skipped, and the channel it meant
+  // went ungated: a baseline whose FlatTree row read "hit" passed any
+  // hit-count drift, one with "wall_time" any wall-time regression.
+  std::string race = slurp(source_root() / "BENCH_baseline_race.json");
+  const std::size_t hits =
+      race.find("\"hits\": [", race.find("\"name\": \"FlatTree\""));
+  ASSERT_NE(hits, std::string::npos);
+  race.replace(hits, 6, "\"hit\"");
+  expect_rejected(race, "series 'FlatTree' has unknown key 'hit'");
+
+  std::string measured = slurp(source_root() / "BENCH_baseline_measured.json");
+  const std::size_t wall = measured.find("\"wall_time_s\"");
+  ASSERT_NE(wall, std::string::npos);
+  measured.replace(wall, 13, "\"wall_time\"");
+  expect_rejected(measured, "unknown key 'wall_time'");
+}
+
+TEST(BenchJson, DeepNestingIsRefusedNotACrash) {
+  // The reader used to recurse once per bracket, so a deeply nested value
+  // overflowed the stack.  It now reads each value by its field's type,
+  // whose depth is fixed.
+  const std::string brackets(1000000, '[');
+  expect_rejected("{\"sizes\": " + brackets + "}",
+                  "'sizes' has the wrong type");
+  expect_rejected("{\"series\": " + brackets + "}", "has the wrong type");
+}
+
+TEST(BenchJson, ReaderAcceptsExactlyTheKeysTheWriterEmits) {
+  // A predicted size sweep: the writer omits the default verb, the seed,
+  // the jitter, the Monte-Carlo keys and the shard coordinates.
+  const std::string text = bench_to_json(small_report());
+  const std::size_t root = text.find("  \"root\"");
+  for (const std::string extra :
+       {"\"verb\": \"bcast\"", "\"seed\": 1", "\"jitter\": 0",
+        "\"iterations\": 5", "\"block_iters\": 0", "\"shards\": 1",
+        "\"threads\": 4"}) {
+    std::string with = text;
+    with.insert(root, "  " + extra + ",\n");
+    expect_rejected(with, extra.substr(1, extra.find('"', 1) - 1));
+  }
+  // ...and every key it does emit is required.
+  BenchReport measured = small_report();
+  measured.mode = "measured";
+  std::string without = bench_to_json(measured);
+  const std::size_t seed = without.find("  \"seed\"");
+  without.erase(seed, without.find('\n', seed) + 1 - seed);
+  expect_rejected(without, "missing key 'seed'");
+  // A repeated key is refused, in the header and in a series.
+  std::string twice = text;
+  twice.insert(root, "  \"grid\": \"other\",\n");
+  expect_rejected(twice, "repeated key 'grid'");
+  twice = text;
+  twice.insert(twice.find("\"makespan_s\""), "\"makespan_s\": [1, 2], ");
+  expect_rejected(twice, "repeated key 'makespan_s'");
+}
+
+TEST(BenchJson, ShardedMonteCarloReportsCarryBlockPartials) {
+  // A sharded Monte-Carlo report in final form could not be merged: the
+  // (point x block) partition is the only one it has.
+  BenchReport r;
+  r.bench = "montecarlo";
+  r.iterations = 4;
+  r.sizes = {3};
+  r.shards = 2;
+  BenchSeries s;
+  s.name = "FlatTree";
+  s.makespan_s = {1.5};
+  r.series.push_back(s);
+  EXPECT_EQ(bench_violation(r),
+            "sharded montecarlo report without block partials");
+  r.shards = 1;
+  EXPECT_EQ(bench_violation(r), "");
 }
 
 }  // namespace

@@ -310,7 +310,7 @@ TEST(Replay, ReportRoundTripsAndSelfCompares) {
   ThreadPool pool(2);
   const io::BenchReport report = replay_requests(svc, requests, pool);
 
-  EXPECT_TRUE(report.is_serve());
+  EXPECT_EQ(report.bench, "serve");
   ASSERT_EQ(report.sizes.size(), 1u);
   EXPECT_EQ(report.sizes[0], requests.size());
 
