@@ -51,6 +51,12 @@ BENCHMARK_CAPTURE(BM_Heuristic, ECEF_LAT, "ECEF-LAT")
     ->Arg(5)->Arg(10)->Arg(25)->Arg(50);
 BENCHMARK_CAPTURE(BM_Heuristic, BottomUp, "BottomUp")
     ->Arg(5)->Arg(10)->Arg(25)->Arg(50);
+// Bhat's two averaging look-aheads: the dearest of auto's candidates at
+// Fig. 2 scale, since they refold every F_j each round.
+BENCHMARK_CAPTURE(BM_Heuristic, ECEF_AvgEdge, "ECEF-AvgEdge")
+    ->Arg(5)->Arg(10)->Arg(25)->Arg(50);
+BENCHMARK_CAPTURE(BM_Heuristic, ECEF_AvgMove, "ECEF-AvgMove")
+    ->Arg(5)->Arg(10)->Arg(25)->Arg(50);
 // The registry-wide selector: one selection walks every
 // non-composite entry, so this row is the Section 7 complexity concern
 // for the composite case.

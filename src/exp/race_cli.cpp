@@ -114,6 +114,15 @@ double min_seconds(F f) {
   return best;
 }
 
+/// `--wall` and `--sched-cost` time each competitor on this machine, so a
+/// shard's timings would break shard-merge byte-identity.
+void refuse_sharded_timing(const RaceSpec& spec) {
+  if ((spec.wall || spec.sched_cost) && spec.shard.shards > 1)
+    throw InvalidInput(std::string(spec.wall ? "--wall" : "--sched-cost") +
+                       " requires an unsharded run (timings are machine-local "
+                       "and would break shard-merge byte-identity)");
+}
+
 }  // namespace
 
 Bytes parse_size(const std::string& token) {
@@ -169,10 +178,7 @@ io::BenchReport run_race_sweep(InstanceCache& cache,
                                std::vector<std::string>* skipped) {
   if (spec.sched_names.empty())
     throw InvalidInput("no schedulers selected (use --sched=a,b,c or all)");
-  if ((spec.wall || spec.sched_cost) && spec.shard.shards > 1)
-    throw InvalidInput(std::string(spec.wall ? "--wall" : "--sched-cost") +
-                       " requires an unsharded run (timings are machine-local "
-                       "and would break shard-merge byte-identity)");
+  refuse_sharded_timing(spec);
   spec.shard.validate();
 
   sched::HeuristicOptions opts;
@@ -877,10 +883,7 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
         throw InvalidInput("unexpected argument '" + positionals.front() +
                            "'\n" + race_cli_usage());
       cli.spec.shard.validate();
-      if ((cli.spec.wall || cli.spec.sched_cost) && cli.spec.shard.shards > 1)
-        throw InvalidInput(
-            std::string(cli.spec.wall ? "--wall" : "--sched-cost") +
-            " cannot be combined with --shards");
+      refuse_sharded_timing(cli.spec);
       break;
     case RaceCli::Action::kRace:
       break;  // validated and returned above

@@ -1,5 +1,6 @@
 #include "io/instance_io.hpp"
 
+#include <cmath>
 #include <iomanip>
 #include <istream>
 #include <limits>
@@ -51,6 +52,11 @@ class Lexer {
     if (used != t.size())
       throw InvalidInput(std::string("trailing junk in number for ") + what +
                          ": '" + t + "'");
+    // std::stod accepts inf, infinity and nan; no field of the format can
+    // hold one.
+    if (!std::isfinite(v))
+      throw InvalidInput(std::string(what) + " must be finite, got '" + t +
+                         "'");
     return v;
   }
 

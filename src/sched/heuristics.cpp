@@ -16,9 +16,9 @@ constexpr Time kInf = std::numeric_limits<Time>::infinity();
 /// The A/B set formalism as two ascending member lists: `a` holds the
 /// clusters that have (or are committed to receive) the message, `b` the
 /// rest.  Selection loops walk the lists, so a round costs O(|A|·|B|)
-/// instead of O(n²); walking them in ascending id order visits the (i, j)
-/// pairs in the order of a full row-major scan, so strict-less
-/// first-wins tie-breaks pick the same pair.
+/// instead of O(n²); the lists ascend in id, so the first row, and the
+/// first member of it, to attain a minimum are the first pair a full
+/// row-major scan would find.
 struct Sets {
   explicit Sets(const Instance& inst) {
     const auto n = static_cast<ClusterId>(inst.clusters());
@@ -59,6 +59,62 @@ class EdgeRows {
   std::vector<Time> w_;
 };
 
+/// The minimum of `cost(k)` over the members `ks`, folded into four
+/// independent accumulators so that each compare waits on the one four
+/// members back instead of on the one before it.  A minimum is exact and
+/// does not depend on fold order, so this is the value a sequential
+/// strict-less scan finds (NaN costs are passed over, as that scan passed
+/// them over); kInf for an empty list.
+template <typename Cost>
+Time row_min(const std::vector<ClusterId>& ks, Cost cost) {
+  Time m0 = kInf, m1 = kInf, m2 = kInf, m3 = kInf;
+  const std::size_t n = ks.size();
+  std::size_t x = 0;
+  for (; x + 4 <= n; x += 4) {
+    m0 = std::min(m0, cost(ks[x]));
+    m1 = std::min(m1, cost(ks[x + 1]));
+    m2 = std::min(m2, cost(ks[x + 2]));
+    m3 = std::min(m3, cost(ks[x + 3]));
+  }
+  for (; x < n; ++x) m0 = std::min(m0, cost(ks[x]));
+  // Combined by assignment, as in the loop: nesting the calls returns
+  // references, which -O2 selects with unpredictable branches.
+  m0 = std::min(m0, m1);
+  m2 = std::min(m2, m3);
+  m0 = std::min(m0, m2);
+  return m0;
+}
+
+/// The first member of `ks` whose cost equals `min`: a strict-less scan's
+/// first-wins tie-break, run on the one row that holds the minimum.
+/// `cost` must be the expression `row_min` folded, so every value it
+/// recomputes is the same double.
+template <typename Cost>
+ClusterId first_attaining(const std::vector<ClusterId>& ks, Time min,
+                          Cost cost) {
+  const auto it = std::find_if(ks.begin(), ks.end(),
+                               [&](ClusterId k) { return cost(k) == min; });
+  GRIDCAST_ASSERT(it != ks.end(), "row minimum not attained");
+  return *it;
+}
+
+/// The first (i, j) in A × B, in ascending (i, j) order, of least
+/// `cost_from(i)(j)`: the row of least minimum, then its first member
+/// attaining it.
+template <typename CostFrom>
+SendPair least_pair(const Sets& sets, CostFrom cost_from) {
+  ClusterId bi = sets.a.front();
+  Time best = kInf;
+  for (const ClusterId i : sets.a) {
+    const Time m = row_min(sets.b, cost_from(i));
+    if (m < best) {
+      best = m;
+      bi = i;
+    }
+  }
+  return {bi, first_attaining(sets.b, best, cost_from(bi))};
+}
+
 /// The look-ahead F_j of every j in B, kept current as clusters move from
 /// B to A (see `Lookahead` for what each one maintains, what it costs and
 /// why only AvgMove's sum is reassociated).  Reads the caller's `Sets`,
@@ -84,9 +140,9 @@ class LookaheadState {
         col_sum_.assign(inst.clusters(), 0.0);
         for (const ClusterId k : sets_.b)
           col_sum_[k] = transfer_.row(inst.root())[k];
-        refold();
+        refold<true>();
         return;
-      case Lookahead::kAvgEdge: refold(); return;
+      case Lookahead::kAvgEdge: refold<false>(); return;
     }
   }
 
@@ -106,9 +162,9 @@ class LookaheadState {
         return;
       case Lookahead::kAvgAfterMove:
         for (const ClusterId k : sets_.b) col_sum_[k] += transfer_.row(c)[k];
-        refold();
+        refold<true>();
         return;
-      case Lookahead::kAvgEdge: refold(); return;
+      case Lookahead::kAvgEdge: refold<false>(); return;
     }
   }
 
@@ -134,26 +190,50 @@ class LookaheadState {
     arg_[j] = arg;
   }
 
-  /// Recompute every average F_j with an ascending-k fold over B \ {j}.
-  /// AvgMove adds g_jk + L_jk and then k's column sum as two separate
-  /// additions, so while A is the root alone the fold adds exactly the
-  /// terms of the definition's (j, then each i in A) inner loop.
+  /// Recompute every average F_j with an ascending-k fold over B \ {j},
+  /// for the rows of B four per pass, then the remainder one by one.
+  /// AvgMove (`kMove`) adds g_jk + L_jk and then k's column sum as two
+  /// separate additions, so while A is the root alone the fold adds
+  /// exactly the terms of the definition's (j, then each i in A) inner
+  /// loop.
+  template <bool kMove>
   void refold() {
-    if (sets_.b.empty()) return;
-    const std::size_t receivers = sets_.b.size() - 1;
-    const std::size_t senders =
-        la_ == Lookahead::kAvgAfterMove ? sets_.a.size() + 1 : 1;
+    const std::size_t rows = sets_.b.size();
+    std::size_t p = 0;
+    for (; p + 4 <= rows; p += 4) fold<4, kMove>(p);
+    for (; p < rows; ++p) fold<1, kMove>(p);
+  }
+
+  /// Fold the R rows b[p], ..., b[p + R - 1] of B in one pass over B.
+  /// Each row adds its own terms in ascending k, as a lone fold would, so
+  /// the R sums are the same doubles; only their additions overlap.
+  template <std::size_t R, bool kMove>
+  void fold(std::size_t p) {
+    const std::vector<ClusterId>& b = sets_.b;
+    const std::size_t receivers = b.size() - 1;
+    const std::size_t senders = kMove ? sets_.a.size() + 1 : 1;
     const auto count = static_cast<double>(receivers * senders);
-    for (const ClusterId j : sets_.b) {
-      const Time* from_j = transfer_.row(j);
-      Time sum = 0.0;
-      for (const ClusterId k : sets_.b) {
-        if (k == j) continue;
-        sum += from_j[k];
-        if (la_ == Lookahead::kAvgAfterMove) sum += col_sum_[k];
-      }
-      f_[j] = receivers == 0 ? 0.0 : sum / count;
+    const Time* from[R];
+    Time sum[R];
+    for (std::size_t r = 0; r < R; ++r) {
+      from[r] = transfer_.row(b[p + r]);
+      sum[r] = 0.0;
     }
+    // Row r skips k = b[p + r], its own column: every row adds the columns
+    // before b[p] and after b[p + R - 1], and all but its own in between.
+    const auto add = [&](std::size_t r, ClusterId k) {
+      sum[r] += from[r][k];
+      if constexpr (kMove) sum[r] += col_sum_[k];
+    };
+    for (std::size_t x = 0; x < p; ++x)
+      for (std::size_t r = 0; r < R; ++r) add(r, b[x]);
+    for (std::size_t x = p; x < p + R; ++x)
+      for (std::size_t r = 0; r < R; ++r)
+        if (x != p + r) add(r, b[x]);
+    for (std::size_t x = p + R; x < b.size(); ++x)
+      for (std::size_t r = 0; r < R; ++r) add(r, b[x]);
+    for (std::size_t r = 0; r < R; ++r)
+      f_[b[p + r]] = receivers == 0 ? 0.0 : sum[r] / count;
   }
 
   const Instance& inst_;
@@ -184,22 +264,14 @@ SendOrder fef_order(const Instance& inst, FefWeight weight) {
                                                 : inst.L(i, j);
   });
 
+  const auto cost_from = [&](ClusterId i) {
+    return [from_i = w.row(i)](ClusterId j) { return from_i[j]; };
+  };
+
   while (!sets.b.empty()) {
-    ClusterId bi = kNoCluster, bj = kNoCluster;
-    Time best = kInf;
-    for (const ClusterId i : sets.a) {
-      const Time* from_i = w.row(i);
-      for (const ClusterId j : sets.b) {
-        const Time c = from_i[j];
-        if (c < best) {
-          best = c;
-          bi = i;
-          bj = j;
-        }
-      }
-    }
-    order.push_back({bi, bj});
-    sets.move_to_a(bj);
+    const SendPair p = least_pair(sets, cost_from);
+    order.push_back(p);
+    sets.move_to_a(p.receiver);
   }
   return order;
 }
@@ -214,25 +286,19 @@ SendOrder ecef_order(const Instance& inst, Lookahead la) {
   SendOrder order;
   order.reserve(inst.clusters() - 1);
 
+  const auto cost_from = [&](ClusterId i) {
+    return [start = state.send_start(i), from_i = transfer.row(i),
+            &lookahead](ClusterId j) {
+      return start + from_i[j] + lookahead[j];
+    };
+  };
+
   while (!sets.b.empty()) {
-    ClusterId bi = kNoCluster, bj = kNoCluster;
-    Time best = kInf;
-    for (const ClusterId i : sets.a) {
-      const Time start = state.send_start(i);
-      const Time* from_i = transfer.row(i);
-      for (const ClusterId j : sets.b) {
-        const Time c = start + from_i[j] + lookahead[j];
-        if (c < best) {
-          best = c;
-          bi = i;
-          bj = j;
-        }
-      }
-    }
-    order.push_back({bi, bj});
-    state.apply(bi, bj);
-    sets.move_to_a(bj);
-    lookahead.moved_to_a(bj);
+    const SendPair p = least_pair(sets, cost_from);
+    order.push_back(p);
+    state.apply(p.sender, p.receiver);
+    sets.move_to_a(p.receiver);
+    lookahead.moved_to_a(p.receiver);
   }
   return order;
 }
@@ -249,31 +315,27 @@ SendOrder bottomup_order(const Instance& inst, BottomUpPolicy policy) {
     return inst.transfer(i, j);
   });
 
+  const auto cost_into = [&](ClusterId j) {
+    return [rt = ready.data(), into_j = into.row(j),
+            t_j = inst.T(j)](ClusterId i) { return rt[i] + into_j[i] + t_j; };
+  };
+
   while (!sets.b.empty()) {
     if (policy == BottomUpPolicy::kReadyTimeAware)
       for (const ClusterId i : sets.a) ready[i] = state.send_start(i);
-    // For every receiver j in B: the *best* sender and its cost; then pick
-    // the receiver whose best cost is the *worst* (max-min).
-    ClusterId bj = kNoCluster, bj_sender = kNoCluster;
+    // For every receiver j in B the cost of its *best* sender; pick the
+    // receiver whose best cost is the *worst* (max-min), then its sender.
+    ClusterId bj = sets.b.front();
     Time worst_best = -kInf;
     for (const ClusterId j : sets.b) {
-      const Time* into_j = into.row(j);
-      const Time t_j = inst.T(j);
-      ClusterId bi = kNoCluster;
-      Time best = kInf;
-      for (const ClusterId i : sets.a) {
-        const Time c = ready[i] + into_j[i] + t_j;
-        if (c < best) {
-          best = c;
-          bi = i;
-        }
-      }
+      const Time best = row_min(sets.a, cost_into(j));
       if (best > worst_best) {
         worst_best = best;
         bj = j;
-        bj_sender = bi;
       }
     }
+    const ClusterId bj_sender =
+        first_attaining(sets.a, worst_best, cost_into(bj));
     order.push_back({bj_sender, bj});
     state.apply(bj_sender, bj);
     sets.move_to_a(bj);

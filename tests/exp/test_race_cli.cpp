@@ -749,6 +749,40 @@ TEST(RaceCliErrors, OneLineDiagnosticsAndNonZeroExit) {
   EXPECT_NE(diag.find("--root"), std::string::npos);
 }
 
+TEST(RaceCliErrors, TimingAShardedRunIsOneRefusal) {
+  // The parser and run_race_sweep refuse --wall and --sched-cost on a
+  // sharded run by one rule, so with one message.
+  const auto refusal = [](const auto& run) -> std::string {
+    try {
+      run();
+    } catch (const InvalidInput& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const auto grid = topology::grid5000_testbed();
+  ThreadPool pool(0);
+  for (const std::string flag : {"--wall", "--sched-cost"}) {
+    SCOPED_TRACE(flag);
+    const std::string want =
+        flag +
+        " requires an unsharded run (timings are machine-local and would "
+        "break shard-merge byte-identity)";
+    EXPECT_EQ(refusal([&] {
+                (void)parse_race_cli({flag, "--shards=2", "--shard=0"});
+              }),
+              want);
+    RaceSpec spec = two_sched_spec();
+    (flag == "--wall" ? spec.wall : spec.sched_cost) = true;
+    spec.shard = {2, 0};
+    InstanceCache cache(grid);
+    EXPECT_EQ(refusal([&] {
+                (void)run_race_sweep(cache, "grid5000_testbed", spec, pool);
+              }),
+              want);
+  }
+}
+
 TEST(RaceCliErrors, RootAboveTheClusterIdRangeIsRejectedNotTruncated) {
   // Truncated to 32 bits, 2^32 + 1 would run root 1 and write --root=1's
   // report byte for byte.

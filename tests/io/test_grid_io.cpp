@@ -145,5 +145,35 @@ TEST(GridIo, HugeClusterCountIsAnInputErrorNotAnAllocation) {
             "cluster count must be a non-negative integer");
 }
 
+/// A two-cluster grid whose cluster-0 intra latency, link 0->1 latency
+/// and link 0->1 gap sample are the given tokens.
+std::string two_cluster_grid(const std::string& intra_latency,
+                             const std::string& link_latency,
+                             const std::string& gap_sample) {
+  const std::string overheads = " fn 1 0 1e-06 fn 1 0 1e-06\n";
+  return "gridcast-grid v1\nclusters 2\n"
+         "cluster a 4 binomial params " + intra_latency + " fn 1 0 1e-06" +
+         overheads +
+         "cluster b 4 binomial params 1e-05 fn 1 0 1e-06" + overheads +
+         "link 0 1 params " + link_latency + " fn 1 0 " + gap_sample +
+         overheads +
+         "link 1 0 params 0.01 fn 1 0 0.1" + overheads + "end\n";
+}
+
+TEST(GridIo, NonFiniteNumbersAreInputErrors) {
+  // std::stod reads all of these; an infinite latency or gap used to pass
+  // validation and kill every heuristic with an internal error.
+  EXPECT_EQ(rejection(two_cluster_grid("1e-05", "0.01", "0.1")), "accepted");
+  for (const std::string bad : {"inf", "INF", "infinity", "-inf", "nan"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(rejection(two_cluster_grid(bad, "0.01", "0.1")),
+              "latency must be finite, got '" + bad + "'");
+    EXPECT_EQ(rejection(two_cluster_grid("1e-05", bad, "0.1")),
+              "latency must be finite, got '" + bad + "'");
+    EXPECT_EQ(rejection(two_cluster_grid("1e-05", "0.01", bad)),
+              "sample value must be finite, got '" + bad + "'");
+  }
+}
+
 }  // namespace
 }  // namespace gridcast::io

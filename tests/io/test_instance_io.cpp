@@ -108,6 +108,33 @@ TEST(InstanceIo, NegativeValuesRejectedAsInvalidInput) {
                InvalidInput);
 }
 
+TEST(InstanceIo, NonFiniteNumbersAreInputErrors) {
+  // std::stod reads all of these; an infinite gap or latency used to pass
+  // the Instance invariants and kill every heuristic with an internal
+  // error.
+  const auto rejection = [](const std::string& T, const std::string& g,
+                            const std::string& L) -> std::string {
+    try {
+      (void)instance_from_string("gridcast-instance v1 clusters 2 root 0 T " +
+                                 T + " 0 g 0 " + g + " 0.1 0 L 0 " + L +
+                                 " 0.01 0");
+    } catch (const InvalidInput& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(rejection("0.5", "0.1", "0.01"), "accepted");
+  for (const std::string bad : {"inf", "INF", "infinity", "-inf", "nan"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(rejection(bad, "0.1", "0.01"),
+              "T value must be finite, got '" + bad + "'");
+    EXPECT_EQ(rejection("0.5", bad, "0.01"),
+              "g must be finite, got '" + bad + "'");
+    EXPECT_EQ(rejection("0.5", "0.1", bad),
+              "L must be finite, got '" + bad + "'");
+  }
+}
+
 TEST(InstanceIo, FractionalClusterCountRejected) {
   EXPECT_THROW(
       (void)instance_from_string("gridcast-instance v1 clusters 2.5 root 0"),

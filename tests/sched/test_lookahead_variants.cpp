@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -222,6 +223,53 @@ TEST_P(ReferenceOnTable2, IncrementalKernelsMatchReference) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ReferenceOnTable2,
                          ::testing::Values(2, 3, 5, 10, 20, 35, 50, 64));
+
+/// `inst` with every g, L and T rounded to a multiple of `step` seconds.
+Instance snapped(const Instance& inst, Time step) {
+  const std::size_t n = inst.clusters();
+  const auto snap = [step](Time v) { return std::round(v / step) * step; };
+  SquareMatrix<Time> g(n, 0.0), L(n, 0.0);
+  std::vector<Time> T(n);
+  for (ClusterId i = 0; i < n; ++i) {
+    T[i] = snap(inst.T(i));
+    for (ClusterId j = 0; j < n; ++j) {
+      if (i == j) continue;
+      g(i, j) = snap(inst.g(i, j));
+      L(i, j) = snap(inst.L(i, j));
+    }
+  }
+  return Instance(inst.root(), std::move(g), std::move(L), std::move(T));
+}
+
+class ReferenceOnSnappedTable2
+    : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ReferenceOnSnappedTable2, FirstWinsTieBreaksMatchReference) {
+  // Plain Table 2 draws almost never hold two equal candidates, so they
+  // cannot tell a first-wins tie-break from a last-wins one.  Snapped to
+  // a 1/8, 1/16 or 1/128 s grid, most rounds of most kernels do.  The
+  // grids are binary fractions, so every sum of snapped values is exact
+  // and AvgMove's pre-summed column sums equal the definition's one-by-one
+  // sums; on decimal grids their last bits differ and flip ties (see
+  // `Lookahead`).
+  const std::size_t n = GetParam();
+  constexpr std::uint64_t kSeeds = 40;
+  std::size_t compared = 0;
+  for (const Time step : {0x1p-3, 0x1p-4, 0x1p-7}) {
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      SCOPED_TRACE("clusters=" + std::to_string(n) +
+                   " step=" + std::to_string(step) +
+                   " seed=" + std::to_string(seed));
+      Rng rng = Rng::stream(seed, n);
+      compared += expect_reference_orders(snapped(
+          exp::sample_instance(exp::ParamRanges::paper(), n, rng), step));
+    }
+  }
+  EXPECT_EQ(compared, 3 * kSeeds * 10);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ReferenceOnSnappedTable2,
+                         ::testing::Values(5, 7, 12, 13, 20, 35, 50, 64));
 
 TEST(ReferenceOnAsymmetric, IncrementalKernelsMatchReference) {
   // Table 2 draws are symmetric, so a kernel reading transfer(k, i) for
