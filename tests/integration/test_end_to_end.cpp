@@ -11,7 +11,6 @@
 #include "collective/backends.hpp"
 #include "collective/bcast.hpp"
 #include "exp/sweep.hpp"
-#include "plogp/fit.hpp"
 #include "sched/registry.hpp"
 #include "support/rng.hpp"
 #include "topology/grid5000.hpp"
@@ -103,39 +102,6 @@ TEST(EndToEnd, RootRotationKeepsHeuristicsFunctional) {
       EXPECT_LT(sched_run.makespan, 5.0);
     }
   }
-}
-
-TEST(EndToEnd, MeasurementPipelineFeedsScheduling) {
-  // pLogP acquisition -> link params -> instance -> schedule, using the
-  // synthetic-link fitting path (the measurement substitution).
-  plogp::SyntheticLink::Config wan;
-  wan.latency = ms(10);
-  wan.bandwidth_Bps = 2e6;
-  wan.jitter_frac = 0.03;
-  plogp::SyntheticLink::Config lan;
-  lan.latency = us(60);
-  lan.bandwidth_Bps = 1e8;
-  lan.jitter_frac = 0.03;
-
-  Rng rng(3);
-  const plogp::Params wan_params =
-      plogp::fit_link(plogp::SyntheticLink(wan), {}, rng);
-  const plogp::Params lan_params =
-      plogp::fit_link(plogp::SyntheticLink(lan), {}, rng);
-
-  std::vector<topology::Cluster> cs;
-  cs.emplace_back("a", 8, lan_params);
-  cs.emplace_back("b", 8, lan_params);
-  topology::Grid grid(std::move(cs));
-  grid.set_link_symmetric(0, 1, wan_params);
-  grid.validate();
-
-  const auto inst = sched::Instance::from_grid(grid, 0, MiB(1));
-  const auto s = sched::Scheduler("ECEF-LA").run(inst);
-  EXPECT_EQ(describe_invalid(s, 2), "");
-  // Fitted WAN transfer must dominate the schedule (~0.5 s for 1 MiB at
-  // 2 MB/s plus latency).
-  EXPECT_NEAR(s.transfers[0].arrival, 0.5 + ms(10), 0.1);
 }
 
 }  // namespace
