@@ -6,7 +6,6 @@
 #include <iostream>
 #include <string_view>
 
-#include "io/instance_io.hpp"
 #include "io/schedule_io.hpp"
 #include "sched/analysis.hpp"
 #include "sched/registry.hpp"
@@ -36,10 +35,8 @@ int main() {
               << ")\n\n";
   }
 
-  // Persist the instance and the winning schedule for external tools.
+  // Export the winning schedule for external tools.
   const sched::Schedule best = sched::Scheduler("ECEF-LA").run(inst);
-  std::cout << "instance file:\n"
-            << io::instance_to_string(inst).substr(0, 120) << "...\n\n";
   std::cout << "schedule JSON:\n" << io::schedule_to_json(best) << "\n";
   return 0;
 }

@@ -14,7 +14,7 @@ namespace gridcast::io {
 
 namespace {
 
-/// Shared with instance_io: token reader skipping '#' comments.
+/// Token reader skipping '#' comments.
 class Lexer {
  public:
   explicit Lexer(std::istream& is) : is_(is) {}
