@@ -1,24 +1,13 @@
 #include "serve/plan_cache.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "support/error.hpp"
 
 namespace gridcast::serve {
 
-SchedulePlanCache::SchedulePlanCache(std::size_t capacity_bytes,
-                                     AdmissionPolicy admission)
-    : capacity_(capacity_bytes), admission_(admission) {
-  if (admission_.required_sightings > 1) {
-    if (admission_.ring_size < admission_.required_sightings)
-      throw InvalidInput(
-          "plan-cache admission: ring of " +
-          std::to_string(admission_.ring_size) + " can never hold " +
-          std::to_string(admission_.required_sightings) + " sightings");
-    ring_.assign(admission_.ring_size, 0);
-  }
-}
+SchedulePlanCache::SchedulePlanCache(std::size_t capacity_bytes)
+    : capacity_(capacity_bytes) {}
 
 std::size_t SchedulePlanCache::plan_bytes(const SchedulePlan& plan) noexcept {
   // The dominant payloads are the transfer list and the per-cluster finish
@@ -43,16 +32,6 @@ void SchedulePlanCache::evict_to_capacity() {
   }
 }
 
-void SchedulePlanCache::record_sighting(std::uint64_t key) {
-  if (ring_.empty()) return;  // policy admits everything; no bookkeeping
-  ring_[ring_pos_] = key;
-  ring_pos_ = (ring_pos_ + 1) % ring_.size();
-}
-
-std::size_t SchedulePlanCache::sightings_of(std::uint64_t key) const {
-  return static_cast<std::size_t>(std::count(ring_.begin(), ring_.end(), key));
-}
-
 PlanPtr SchedulePlanCache::find(const PlanSignature& sig) {
   const std::uint64_t key = sig.hash();
   std::lock_guard lk(mu_);
@@ -67,7 +46,6 @@ PlanPtr SchedulePlanCache::find(const PlanSignature& sig) {
     collisions_.fetch_add(1, std::memory_order_relaxed);
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  record_sighting(key);
   return nullptr;
 }
 
@@ -108,16 +86,6 @@ PlanPtr SchedulePlanCache::insert(PlanPtr plan) {
     cache_.erase(it);
   }
   const std::size_t sz = plan_bytes(*plan);
-  // Admission: an insert that would force an eviction must have earned
-  // its slot — `required_sightings` misses recorded in the probationary
-  // ring.  One-shot signatures bounce off here instead of churning the
-  // LRU; their callers still get the plan, uncached.
-  if (admission_.required_sightings > 1 && capacity_ != kUnbounded &&
-      bytes_ + sz > capacity_ &&
-      sightings_of(key) < admission_.required_sightings) {
-    admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-    return plan;
-  }
   lru_.push_front(key);
   const auto [it, inserted] = cache_.try_emplace(key);
   it->second = Entry{std::move(plan), sz, lru_.begin()};
@@ -147,7 +115,6 @@ PlanPtr SchedulePlanCache::get(
       collisions_.fetch_add(1, std::memory_order_relaxed);
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
-    record_sighting(key);
     if (const auto fl = inflight_.find(key); fl != inflight_.end() &&
                                              fl->second->sig == sig) {
       // The build-once latch: someone is already building this exact
@@ -213,11 +180,6 @@ void SchedulePlanCache::set_capacity(std::size_t capacity_bytes) {
 std::size_t SchedulePlanCache::capacity() const {
   std::lock_guard lk(mu_);
   return capacity_;
-}
-
-AdmissionPolicy SchedulePlanCache::admission() const {
-  std::lock_guard lk(mu_);
-  return admission_;
 }
 
 std::size_t SchedulePlanCache::bytes_in_use() const {

@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "sched/schedule.hpp"
 #include "sched/scheduler_entry.hpp"
@@ -23,7 +22,7 @@
 /// signature and answer repeats from here.  The cache mirrors
 /// `exp::InstanceCache` (same locking, LRU, byte accounting, relaxed
 /// stats, shared_ptr handout, `kUnbounded`/pass-through capacity
-/// semantics) with three additions:
+/// semantics) with two additions:
 ///
 ///  * entries are keyed by the signature's 64-bit hash, and a hash hit
 ///    whose stored signature differs is a detected *collision* — counted,
@@ -33,11 +32,7 @@
 ///    requester of a missing signature builds, concurrent requesters for
 ///    the same signature wait on the latch (counted in `build_waits`),
 ///    and requesters for *other* signatures proceed untouched — a cached
-///    hit never queues behind a plan that is still being built;
-///  * an eviction-aware **admission policy**: under byte pressure a
-///    signature must have been sighted `required_sightings` times in a
-///    probationary ring before its plan may evict a resident one, so
-///    one-shot requests stop thrashing the LRU.
+///    hit never queues behind a plan that is still being built.
 namespace gridcast::serve {
 
 /// What one request's selection produced.  `schedule` is the WAN send
@@ -56,20 +51,6 @@ struct SchedulePlan {
 /// Shared ownership handle; holders survive eviction.
 using PlanPtr = std::shared_ptr<const SchedulePlan>;
 
-/// Eviction-aware admission.  With `required_sightings == 1` (the
-/// default) every insert is admitted — exactly the plain LRU.  With k >
-/// 1, an insert that would have to *evict* to fit is admitted only when
-/// its signature has been sighted k times in the probationary ring of
-/// the last `ring_size` lookups that missed; rejected inserts
-/// are counted (`admission_rejects`) and handed back to the caller
-/// uncached, like pass-through mode.  Inserts that fit without evicting
-/// are always admitted — probation is a response to byte pressure, not
-/// a general gate.
-struct AdmissionPolicy {
-  std::size_t required_sightings = 1;
-  std::size_t ring_size = 256;
-};
-
 class SchedulePlanCache {
  public:
   /// Sentinel capacity: never evict (the default).
@@ -77,10 +58,7 @@ class SchedulePlanCache {
 
   /// `capacity_bytes == kUnbounded` means no bound; `0` means
   /// pass-through (nothing is ever retained; every `find` misses).
-  /// Throws InvalidInput when the admission policy is unsatisfiable
-  /// (k > 1 with a ring smaller than k sightings can never admit).
-  explicit SchedulePlanCache(std::size_t capacity_bytes = kUnbounded,
-                             AdmissionPolicy admission = {});
+  explicit SchedulePlanCache(std::size_t capacity_bytes = kUnbounded);
 
   SchedulePlanCache(const SchedulePlanCache&) = delete;
   SchedulePlanCache& operator=(const SchedulePlanCache&) = delete;
@@ -88,15 +66,14 @@ class SchedulePlanCache {
   /// The resident plan for `sig`, promoted to most-recently-used, or null
   /// on a miss.  Counts exactly one hit or miss; a hash collision
   /// (resident entry under `sig.hash()` with a different signature) also
-  /// counts a collision and misses.  A miss records a probationary
-  /// sighting for the admission policy.  Thread-safe.
+  /// counts a collision and misses.  Thread-safe.
   [[nodiscard]] PlanPtr find(const PlanSignature& sig);
 
   /// Non-accounting residency probe for front-ends that split the hit
   /// path (answer now) from the miss path (answer asynchronously): a
   /// resident equal-signature plan counts a hit and is promoted, exactly
-  /// like `find`; anything else returns null *without* counting a miss,
-  /// a collision, or a sighting — the follow-up `get` owns the miss
+  /// like `find`; anything else returns null *without* counting a miss
+  /// or a collision — the follow-up `get` owns the miss
   /// accounting, so the request still lands in exactly one counter.
   /// Thread-safe.
   [[nodiscard]] PlanPtr peek(const PlanSignature& sig);
@@ -106,9 +83,8 @@ class SchedulePlanCache {
   /// promoted and returned so every caller holds the same object.  A
   /// *colliding* resident (same hash, different signature) is replaced —
   /// and counted — because the map can hold only one plan per hash.
-  /// Under byte pressure the admission policy may reject the insert
-  /// (counted, argument handed back uncached).  Returns the plan now
-  /// resident (the argument itself in pass-through or rejected cases).
+  /// Returns the plan now resident (the argument itself in pass-through
+  /// mode).
   /// Counts neither hit nor miss.  Thread-safe.
   PlanPtr insert(PlanPtr plan);
 
@@ -135,7 +111,6 @@ class SchedulePlanCache {
   /// evicting immediately if the current account exceeds it.
   void set_capacity(std::size_t capacity_bytes);
   [[nodiscard]] std::size_t capacity() const;
-  [[nodiscard]] AdmissionPolicy admission() const;
 
   /// Bytes the resident plans account for (`plan_bytes`).
   [[nodiscard]] std::size_t bytes_in_use() const;
@@ -159,11 +134,6 @@ class SchedulePlanCache {
   /// with the same 64-bit hash but a different signature).
   [[nodiscard]] std::uint64_t collisions() const noexcept {
     return collisions_.load(std::memory_order_relaxed);
-  }
-  /// Inserts rejected by the admission policy (byte pressure, too few
-  /// probationary sightings).
-  [[nodiscard]] std::uint64_t admission_rejects() const noexcept {
-    return admission_rejects_.load(std::memory_order_relaxed);
   }
   /// `get` calls answered by waiting on another requester's in-flight
   /// build instead of building or hitting.
@@ -197,26 +167,16 @@ class SchedulePlanCache {
   /// holds `mu_`.
   void evict_to_capacity();
 
-  /// Record a probationary sighting of `key` / count its sightings in
-  /// the ring.  Callers hold `mu_`; both are no-ops / saturated when the
-  /// policy admits everything.
-  void record_sighting(std::uint64_t key);
-  [[nodiscard]] std::size_t sightings_of(std::uint64_t key) const;
-
   mutable std::mutex mu_;
   std::map<std::uint64_t, Entry> cache_;  ///< keyed by signature hash
   std::list<std::uint64_t> lru_;
   std::map<std::uint64_t, std::shared_ptr<Inflight>> inflight_;
   std::size_t capacity_;
-  AdmissionPolicy admission_;
-  std::vector<std::uint64_t> ring_;  ///< probationary sightings, circular
-  std::size_t ring_pos_ = 0;
   std::size_t bytes_ = 0;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> collisions_{0};
-  std::atomic<std::uint64_t> admission_rejects_{0};
   std::atomic<std::uint64_t> build_waits_{0};
 };
 

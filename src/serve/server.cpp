@@ -60,8 +60,7 @@ PlanService::PlanService(const topology::Grid& grid, std::string grid_name,
       grid_hash_(grid_fingerprint(grid)),
       sched_rev_(scheduler_set_revision(comps_)),
       instances_(grid, opts_.instance_capacity),
-      plans_(opts_.plan_capacity,
-             AdmissionPolicy{opts_.admission_k, opts_.admission_ring}) {
+      plans_(opts_.plan_capacity) {
   GRIDCAST_ASSERT(!comps_.empty(), "no competitors to serve with");
 }
 
@@ -201,7 +200,6 @@ std::string PlanService::stats_line() const {
   out += " misses=" + std::to_string(plans_.misses());
   out += " evictions=" + std::to_string(plans_.evictions());
   out += " collisions=" + std::to_string(plans_.collisions());
-  out += " admission_rejects=" + std::to_string(plans_.admission_rejects());
   out += " build_waits=" + std::to_string(plans_.build_waits());
   out += " instances=" + std::to_string(instances_.entries());
   out += " instance_hits=" + std::to_string(instances_.hits());
@@ -294,13 +292,11 @@ io::BenchReport replay_requests(PlanService& service,
 
   // ---- Deterministic pass: the report's exact series are *defined* as
   // serial one-request-at-a-time semantics from a cold cache.  They are
-  // computed against a private model cache configured like the live one
-  // (same capacity and admission policy), so they are a pure function of
-  // (service configuration, log): the worker count, the session count
-  // and however warm the live cache already is (e.g. after --warm) can
-  // never change a byte of them.
-  SchedulePlanCache model(service.plans().capacity(),
-                          service.plans().admission());
+  // computed against a private model cache of the live one's capacity,
+  // so they are a pure function of (service configuration, log): the
+  // worker count, the session count and however warm the live cache
+  // already is (e.g. after --warm) can never change a byte of them.
+  SchedulePlanCache model(service.plans().capacity());
   // Every distinct signature is built once per replay, in parallel across
   // the pool; the serial accounting below replays inserts (and, under
   // eviction, re-inserts) from here.
@@ -355,8 +351,8 @@ io::BenchReport replay_requests(PlanService& service,
 
     // Phase 3 (serial): replay the batch one request at a time against
     // the model cache — find, and on a miss insert the prebuilt plan —
-    // so hit/miss, eviction, collision and admission accounting are
-    // exactly the serial cold daemon's.  A request's latency includes
+    // so hit/miss, eviction and collision accounting are exactly the
+    // serial cold daemon's.  A request's latency includes
     // the batch build it waited on when it missed.
     for (std::size_t i = 0; i < n; ++i) {
       const auto t0 = clock::now();
@@ -439,8 +435,6 @@ io::BenchReport replay_requests(PlanService& service,
       value_cell("evictions", static_cast<double>(model.evictions())));
   r.series.push_back(
       value_cell("collisions", static_cast<double>(model.collisions())));
-  r.series.push_back(value_cell(
-      "admission_rejects", static_cast<double>(model.admission_rejects())));
   r.series.push_back(value_cell("predicted_sum_s", predicted_sum));
   if (opts.timing) {
     // The host-dependent tail: a lower-bounded requests/sec gate and

@@ -40,12 +40,6 @@ struct ServeOptions {
   std::size_t plan_capacity = SchedulePlanCache::kUnbounded;
   /// Instance-cache byte bound (`exp::InstanceCache` semantics).
   std::size_t instance_capacity = exp::InstanceCache::kUnbounded;
-  /// Plan-cache admission under byte pressure: a signature must have
-  /// missed `admission_k` times within the probationary ring before its
-  /// plan may evict a resident one (1 = admit everything).
-  std::size_t admission_k = 1;
-  /// Probationary ring length (recent misses remembered for admission).
-  std::size_t admission_ring = 256;
 };
 
 class PlanService {
@@ -208,13 +202,11 @@ struct ReplayOptions {
 /// Replay `requests` through the service and report the outcome as a
 /// `"bench": "serve"` BenchReport: the axis is the request count, and
 /// the deterministic series (hit_rate, hits, misses, plans_built,
-/// build_waits, evictions, collisions, admission_rejects,
-/// predicted_sum_s) are exact.
+/// build_waits, evictions, collisions, predicted_sum_s) are exact.
 ///
 /// Accounting is defined as *serial one-request-at-a-time semantics from
-/// a cold cache*, computed against a private model cache configured like
-/// the service's (same capacity and admission policy) — so the report is
-/// a pure function of (service configuration, log): byte-identical for
+/// a cold cache*, computed against a private model cache of the service's
+/// capacity — so the report is a pure function of (service configuration, log): byte-identical for
 /// every worker count, every session count, and regardless of how warm
 /// the live cache already is.  `build_waits` is the one batch-scoped
 /// series: it counts the requests that would have waited on an earlier
@@ -233,8 +225,7 @@ struct ReplayOptions {
 /// the distinct signatures not already resident build across `pool` and
 /// insert in request order — the same batched build path replay uses,
 /// against the real cache.  Warming traffic is ordinary traffic: it
-/// shows up in the `stats` counters and is subject to the admission
-/// policy under byte pressure.  Returns the number of plans built.
+/// shows up in the `stats` counters.  Returns the number of plans built.
 std::size_t warm_requests(PlanService& service,
                           const std::vector<ReplayRequest>& requests,
                           ThreadPool& pool, std::size_t batch = 64);

@@ -276,47 +276,5 @@ TEST(PlanCache, LatchedBuildFailurePropagatesAndClears) {
   EXPECT_EQ(p->signature.size_bucket, 81u);
 }
 
-TEST(PlanCache, AdmissionProtectsResidentsUntilKSightings) {
-  // k=2 under a one-plan bound: a single-sighting insert that would have
-  // to evict is rejected (caller still gets the plan, uncached); after a
-  // second recorded miss the same signature earns the slot.
-  SchedulePlanCache cache(one_plan(), AdmissionPolicy{2, 8});
-  EXPECT_EQ(cache.find(sig_of(90)), nullptr);  // sighting #1
-  const PlanPtr resident = cache.insert(fake_plan(sig_of(90)));
-  EXPECT_EQ(cache.entries(), 1u);  // fits without evicting: admitted
-
-  EXPECT_EQ(cache.find(sig_of(91)), nullptr);  // sighting #1 for 91
-  const PlanPtr mine = fake_plan(sig_of(91));
-  EXPECT_EQ(cache.insert(mine).get(), mine.get());  // rejected, handed back
-  EXPECT_EQ(cache.admission_rejects(), 1u);
-  EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_NE(cache.find(sig_of(90)), nullptr);  // resident survived
-
-  EXPECT_EQ(cache.find(sig_of(91)), nullptr);  // sighting #2 for 91
-  EXPECT_NE(cache.insert(fake_plan(sig_of(91))), nullptr);
-  EXPECT_EQ(cache.evictions(), 1u);  // now it may evict bucket 90
-  EXPECT_NE(cache.find(sig_of(91)), nullptr);
-}
-
-TEST(PlanCache, AdmissionOnlyGatesUnderBytePressure) {
-  // Unbounded (or roomy) caches never consult the ring: k=5 with one
-  // sighting still admits when no eviction is needed.
-  SchedulePlanCache cache(SchedulePlanCache::kUnbounded, AdmissionPolicy{5, 8});
-  (void)cache.find(sig_of(95));
-  (void)cache.insert(fake_plan(sig_of(95)));
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(cache.admission_rejects(), 0u);
-}
-
-TEST(PlanCache, UnsatisfiableAdmissionIsRefused) {
-  // A ring of 2 can never hold 3 sightings: nothing would ever be
-  // admitted under pressure, so the configuration is an input error.
-  EXPECT_THROW(SchedulePlanCache(one_plan(), AdmissionPolicy{3, 2}),
-               InvalidInput);
-  // k=1 admits everything; any ring (even 0) is fine.
-  SchedulePlanCache ok(one_plan(), AdmissionPolicy{1, 0});
-  EXPECT_EQ(ok.admission_rejects(), 0u);
-}
-
 }  // namespace
 }  // namespace gridcast::serve

@@ -244,7 +244,7 @@ TEST(Replay, BatchScopesOnlyBuildWaits) {
   const io::BenchReport serial = run(1);
   for (const char* name :
        {"hit_rate", "hits", "misses", "plans_built", "evictions",
-        "collisions", "admission_rejects", "predicted_sum_s"}) {
+        "collisions", "predicted_sum_s"}) {
     const auto* w = wide.find_series(name);
     const auto* n = narrow.find_series(name);
     const auto* s = serial.find_series(name);

@@ -77,10 +77,6 @@ std::string usage() {
       "  --capacity=BYTES       plan-cache bound, e.g. 64M (default: unbounded;\n"
       "                         0 = pass-through)\n"
       "  --instance-capacity=BYTES  instance-cache bound (same spellings)\n"
-      "  --admission-k=N        under byte pressure, a signature must miss N\n"
-      "                         times (probationary ring) before its plan may\n"
-      "                         evict a resident one (default: 1 = admit all)\n"
-      "  --admission-ring=N     probationary ring length (default: 256)\n"
       "  --warm=FILE            pre-build the plans a request log needs before\n"
       "                         serving (batched across --threads)\n"
       "  --threads=N            build worker threads (default: 0 = inline)\n"
@@ -156,14 +152,6 @@ ServeCliArgs parse_args(const std::vector<std::string>& args) {
     } else if (key == "--instance-capacity") {
       cli.service.instance_capacity =
           static_cast<std::size_t>(exp::parse_size(value_of(arg)));
-    } else if (key == "--admission-k") {
-      cli.service.admission_k = static_cast<std::size_t>(
-          parse_count(value_of(arg), "--admission-k"));
-      if (cli.service.admission_k == 0)
-        throw InvalidInput("--admission-k must be >= 1");
-    } else if (key == "--admission-ring") {
-      cli.service.admission_ring = static_cast<std::size_t>(
-          parse_count(value_of(arg), "--admission-ring"));
     } else if (key == "--warm") {
       cli.warm_path = value_of(arg);
     } else if (key == "--threads") {
