@@ -11,7 +11,7 @@
 /// Machine-readable benchmark reports (BENCH_sweep.json and friends).
 ///
 /// One grammar serves every producer and consumer: the `gridcast_race`
-/// CLI, `bench_sweep_json`, shard merging, and the CI regression gate all
+/// CLI, the bench binaries, shard merging, and the CI regression gate all
 /// traffic in a `BenchReport`.  Writing is deterministic — 17 significant
 /// digits, fixed key order — so a merged set of shard reports is
 /// byte-identical to the equivalent single-process run, and a re-serialised
