@@ -1,7 +1,7 @@
 // Schedule inspection: build the GRID5000 instance, run two contrasting
 // heuristics, and dig into *why* one wins — ASCII Gantt charts, critical
-// paths, sender utilisation — then export the schedules as CSV/JSON for
-// external tooling.
+// paths, sender utilisation — then export the winning schedule as JSON
+// for external tooling.
 
 #include <iostream>
 #include <string_view>

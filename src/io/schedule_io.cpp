@@ -6,17 +6,6 @@
 
 namespace gridcast::io {
 
-void write_schedule_csv(std::ostream& os, const sched::Schedule& s) {
-  os << std::setprecision(17);
-  os << "record,cluster_or_sender,receiver,start_or_finish,arrival\n";
-  std::size_t idx = 0;
-  for (const auto& t : s.transfers)
-    os << "transfer" << idx++ << ',' << t.sender << ',' << t.receiver << ','
-       << t.start << ',' << t.arrival << '\n';
-  for (std::size_t c = 0; c < s.cluster_finish.size(); ++c)
-    os << "finish," << c << ",," << s.cluster_finish[c] << ",\n";
-}
-
 void write_schedule_json(std::ostream& os, const sched::Schedule& s) {
   os << std::setprecision(17);
   os << "{\"root\":" << s.root << ",\"makespan\":" << s.makespan
@@ -31,12 +20,6 @@ void write_schedule_json(std::ostream& os, const sched::Schedule& s) {
   for (std::size_t c = 0; c < s.cluster_finish.size(); ++c)
     os << (c == 0 ? "" : ",") << s.cluster_finish[c];
   os << "]}";
-}
-
-std::string schedule_to_csv(const sched::Schedule& s) {
-  std::ostringstream os;
-  write_schedule_csv(os, s);
-  return os.str();
 }
 
 std::string schedule_to_json(const sched::Schedule& s) {

@@ -8,16 +8,10 @@
 /// Schedule export for external tooling.
 namespace gridcast::io {
 
-/// CSV with one row per transfer:
-/// `index,sender,receiver,start,arrival` followed by one row per cluster
-/// `finish,<cluster>,,<finish>,` — directly plottable as a Gantt source.
-void write_schedule_csv(std::ostream& os, const sched::Schedule& s);
-
 /// JSON object {root, makespan, transfers:[{...}], finish:[...]}
 /// (hand-rolled: the schedule grammar is flat and tiny).
 void write_schedule_json(std::ostream& os, const sched::Schedule& s);
 
-[[nodiscard]] std::string schedule_to_csv(const sched::Schedule& s);
 [[nodiscard]] std::string schedule_to_json(const sched::Schedule& s);
 
 }  // namespace gridcast::io

@@ -1,7 +1,5 @@
 #include "topology/grid.hpp"
 
-#include <sstream>
-
 #include "support/error.hpp"
 
 namespace gridcast::topology {
@@ -81,22 +79,6 @@ void Grid::validate() const {
       links_(i, j).validate();
     }
   }
-}
-
-std::string Grid::to_dot() const {
-  std::ostringstream os;
-  os << "graph grid {\n  node [shape=box];\n";
-  for (ClusterId c = 0; c < clusters_.size(); ++c)
-    os << "  c" << c << " [label=\"" << clusters_[c].name() << "\\n"
-       << clusters_[c].size() << " nodes\"];\n";
-  for (ClusterId i = 0; i < clusters_.size(); ++i)
-    for (ClusterId j = static_cast<ClusterId>(i + 1); j < clusters_.size();
-         ++j)
-      if (link_set_(i, j))
-        os << "  c" << i << " -- c" << j << " [label=\""
-           << to_us(links_(i, j).L) << "us\"];\n";
-  os << "}\n";
-  return os.str();
 }
 
 }  // namespace gridcast::topology

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "plogp/params.hpp"
@@ -45,9 +44,6 @@ class Grid {
   /// Check that every off-diagonal link was set and every parameter set is
   /// internally consistent; throws LogicError otherwise.
   void validate() const;
-
-  /// Graphviz rendering (clusters as nodes, links labelled with latency).
-  [[nodiscard]] std::string to_dot() const;
 
  private:
   std::vector<Cluster> clusters_;

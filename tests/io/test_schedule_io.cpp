@@ -14,20 +14,6 @@ sched::Schedule sample_schedule() {
   return s;
 }
 
-TEST(ScheduleIo, CsvHasHeaderAndAllRecords) {
-  const std::string csv = schedule_to_csv(sample_schedule());
-  EXPECT_NE(csv.find("record,"), std::string::npos);
-  EXPECT_NE(csv.find("transfer0,0,1,0,0.5"), std::string::npos);
-  EXPECT_NE(csv.find("transfer1,1,2,0.5,1.25"), std::string::npos);
-  EXPECT_NE(csv.find("finish,2,,2,"), std::string::npos);
-}
-
-TEST(ScheduleIo, CsvRowCount) {
-  const std::string csv = schedule_to_csv(sample_schedule());
-  const auto lines = std::count(csv.begin(), csv.end(), '\n');
-  EXPECT_EQ(lines, 1 + 2 + 3);  // header + transfers + finishes
-}
-
 TEST(ScheduleIo, JsonShape) {
   const std::string json = schedule_to_json(sample_schedule());
   EXPECT_EQ(json.front(), '{');
@@ -51,8 +37,7 @@ TEST(ScheduleIo, EmptyScheduleStillWellFormed) {
   s.cluster_finish = {0.0};
   const std::string json = schedule_to_json(s);
   EXPECT_NE(json.find("\"transfers\":[]"), std::string::npos);
-  const std::string csv = schedule_to_csv(s);
-  EXPECT_NE(csv.find("finish,0,,0,"), std::string::npos);
+  EXPECT_NE(json.find("\"finish\":[0]"), std::string::npos);
 }
 
 }  // namespace

@@ -99,13 +99,5 @@ TEST(Grid, ValidateFlagsMissingLinks) {
   EXPECT_NO_THROW(g.validate());
 }
 
-TEST(Grid, DotExportMentionsClusters) {
-  const Grid g = make_two_cluster_grid();
-  const std::string dot = g.to_dot();
-  EXPECT_NE(dot.find("graph grid"), std::string::npos);
-  EXPECT_NE(dot.find("a\\n3 nodes"), std::string::npos);
-  EXPECT_NE(dot.find("c0 -- c1"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace gridcast::topology
