@@ -134,6 +134,16 @@ plogp::Params read_params(Lexer& lex) {
   return p;
 }
 
+/// read_params for one record, which any error it raises names: a grid
+/// has n(n-1) links, and a bare "latency must be finite" fits them all.
+plogp::Params read_record_params(Lexer& lex, const std::string& record) {
+  try {
+    return read_params(lex);
+  } catch (const InvalidInput& e) {
+    throw InvalidInput(record + ": " + e.what());
+  }
+}
+
 plogp::BcastAlgorithm algorithm_from_name(const std::string& name) {
   for (const auto a :
        {plogp::BcastAlgorithm::kFlat, plogp::BcastAlgorithm::kChain,
@@ -185,7 +195,8 @@ topology::Grid read_grid(std::istream& is) {
     const auto size = lex.count32("cluster size");
     if (size == 0) throw InvalidInput("cluster size must be positive");
     const auto algorithm = algorithm_from_name(lex.word("intra algorithm"));
-    plogp::Params intra = read_params(lex);
+    plogp::Params intra = read_record_params(
+        lex, "cluster " + std::to_string(c) + " ('" + name + "')");
     clusters.emplace_back(name, size, std::move(intra), algorithm);
   }
 
@@ -198,7 +209,8 @@ topology::Grid read_grid(std::istream& is) {
     if (from >= n || to >= n || from == to)
       throw InvalidInput("bad link endpoints");
     grid.set_link(static_cast<ClusterId>(from), static_cast<ClusterId>(to),
-                  read_params(lex));
+                  read_record_params(lex, "link " + std::to_string(from) +
+                                              " -> " + std::to_string(to)));
   }
   try {
     grid.validate();

@@ -167,12 +167,24 @@ TEST(GridIo, NonFiniteNumbersAreInputErrors) {
   for (const std::string bad : {"inf", "INF", "infinity", "-inf", "nan"}) {
     SCOPED_TRACE(bad);
     EXPECT_EQ(rejection(two_cluster_grid(bad, "0.01", "0.1")),
-              "latency must be finite, got '" + bad + "'");
+              "cluster 0 ('a'): latency must be finite, got '" + bad + "'");
     EXPECT_EQ(rejection(two_cluster_grid("1e-05", bad, "0.1")),
-              "latency must be finite, got '" + bad + "'");
+              "link 0 -> 1: latency must be finite, got '" + bad + "'");
     EXPECT_EQ(rejection(two_cluster_grid("1e-05", "0.01", bad)),
-              "sample value must be finite, got '" + bad + "'");
+              "link 0 -> 1: sample value must be finite, got '" + bad + "'");
   }
+}
+
+TEST(GridIo, ABadLinkIsNamedInTheError) {
+  // One bad latency among the testbed's 30 links: the message alone must
+  // say which link to fix.
+  std::string text = grid_to_string(topology::grid5000_testbed());
+  const std::string record = "link 2 3 params ";
+  const auto pos = text.find(record);
+  ASSERT_NE(pos, std::string::npos);
+  const auto latency = pos + record.size();
+  text.replace(latency, text.find(' ', latency) - latency, "inf");
+  EXPECT_EQ(rejection(text), "link 2 -> 3: latency must be finite, got 'inf'");
 }
 
 }  // namespace
