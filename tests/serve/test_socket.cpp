@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstring>
+#include <future>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -262,21 +263,43 @@ TEST(SocketServer, QuitDrainsPendingMissesAndAnswersLast) {
 TEST(SocketServer, HitOvertakesAPendingMissWithinASession) {
   // Async miss answering over the wire: with bucket-Y resident, a miss
   // for X followed immediately by a hit for Y answers Y first — the hit
-  // never queues behind X's build.  (The all-to-all build is orders of
-  // magnitude slower than the inline hit reply, so the order is stable.)
+  // never queues behind X's build.  A side requester holds X's build
+  // open on the plan cache's build-once latch, so the session's miss for
+  // X waits until the test releases it, however fast builds are.
   TestDaemon daemon;
   Client client(daemon.server->port());
   client.send_all("plan bcast 0 1M\n");  // make Y resident
   ASSERT_EQ(client.read_lines(1).size(), 1u);
+
+  PlanService& svc = daemon.service;
+  const PlanSignature sig_x =
+      svc.signature_for(collective::Verb::kAlltoall, 3, MiB(8));
+  std::promise<void> building;
+  std::promise<void> release;
+  std::thread holder([&] {
+    (void)svc.plans().get(sig_x, [&](const PlanSignature& s) {
+      building.set_value();
+      release.get_future().wait();
+      return svc.build_plan(s);
+    });
+  });
+  building.get_future().wait();
+
   client.send_all("plan alltoall 3 8M\nplan bcast 0 1M\n");
-  const auto replies = client.read_lines(2);
-  ASSERT_EQ(replies.size(), 2u);
-  EXPECT_EQ(replies[0].rfind("plan verb=bcast root=0 size=1048576 ", 0), 0u)
-      << replies[0];
-  EXPECT_EQ(replies[0].substr(replies[0].size() - 4), " hit");
-  EXPECT_EQ(replies[1].rfind("plan verb=alltoall root=3 size=8388608 ", 0),
-            0u)
-      << replies[1];
+  // Y must arrive while X's build is still held; a session that queued
+  // Y behind X would leave this read to time out.
+  const auto first = client.read_lines(1);
+  release.set_value();
+  holder.join();
+  const auto second = client.read_lines(1);
+
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].rfind("plan verb=bcast root=0 size=1048576 ", 0), 0u)
+      << first[0];
+  EXPECT_EQ(first[0].substr(first[0].size() - 4), " hit");
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].rfind("plan verb=alltoall root=3 size=8388608 ", 0), 0u)
+      << second[0];
   client.send_all("quit\n");
   (void)client.read_lines(1);
 }
