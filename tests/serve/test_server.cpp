@@ -262,6 +262,38 @@ TEST(Replay, BatchScopesOnlyBuildWaits) {
   EXPECT_GT(wide_waits->makespan_s[0], 0.0);  // the CI log has repeats
 }
 
+TEST(Replay, LiveStatsEqualTheReportSeries) {
+  // The report's exact series come from a private model cache.  Serving
+  // the same log one line at a time must leave the live cache with the
+  // same counts, also under byte bounds that make it evict.
+  for (const std::size_t capacity : {SchedulePlanCache::kUnbounded,
+                                     std::size_t{6000}, std::size_t{12000}}) {
+    SCOPED_TRACE(capacity);
+    ServeOptions opts;
+    opts.plan_capacity = capacity;
+    PlanService svc(testbed(), "g5k", opts);
+    std::ifstream log(std::string(GRIDCAST_TEST_DATA_DIR) +
+                      "/serve_requests.txt");
+    for (std::string line; std::getline(log, line);)
+      (void)svc.handle_line(line);
+    const std::string stats = svc.stats_line();
+
+    ThreadPool pool(0);
+    const io::BenchReport report = replay_requests(
+        svc, checked_in_log(), pool, ReplayOptions{.batch = 1});
+    for (const std::string name :
+         {"hits", "misses", "evictions", "collisions"}) {
+      const auto* series = report.find_series(name);
+      ASSERT_NE(series, nullptr) << name;
+      const auto at = stats.find(' ' + name + '=');
+      ASSERT_NE(at, std::string::npos) << stats;
+      EXPECT_EQ(std::stod(stats.substr(at + name.size() + 2)),
+                series->makespan_s[0])
+          << name << " in " << stats;
+    }
+  }
+}
+
 TEST(Replay, WarmRequestsPrimesTheLiveCache) {
   const std::vector<ReplayRequest> requests = checked_in_log();
   PlanService svc(testbed(), "g5k");
