@@ -134,8 +134,8 @@ plogp::Params read_params(Lexer& lex) {
   return p;
 }
 
-/// read_params for one record, which any error it raises names: a grid
-/// has n(n-1) links, and a bare "latency must be finite" fits them all.
+/// read_params, naming the record in any error it raises: a grid has
+/// n(n-1) links, and a bare "latency must be finite" fits them all.
 plogp::Params read_record_params(Lexer& lex, const std::string& record) {
   try {
     return read_params(lex);

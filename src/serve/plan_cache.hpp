@@ -73,8 +73,8 @@ class SchedulePlanCache {
   /// path (answer now) from the miss path (answer asynchronously): a
   /// resident equal-signature plan counts a hit and is promoted, exactly
   /// like `find`; anything else returns null *without* counting a miss
-  /// or a collision — the follow-up `get` owns the miss
-  /// accounting, so the request still lands in exactly one counter.
+  /// or a collision — the follow-up `get` owns the miss accounting, so
+  /// the request still lands in exactly one counter.
   /// Thread-safe.
   [[nodiscard]] PlanPtr peek(const PlanSignature& sig);
 

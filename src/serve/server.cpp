@@ -292,10 +292,11 @@ io::BenchReport replay_requests(PlanService& service,
 
   // ---- Deterministic pass: the report's exact series are *defined* as
   // serial one-request-at-a-time semantics from a cold cache.  They are
-  // computed against a private model cache of the live one's capacity,
-  // so they are a pure function of (service configuration, log): the
-  // worker count, the session count and however warm the live cache
-  // already is (e.g. after --warm) can never change a byte of them.
+  // computed against a private model cache configured like the live one
+  // (same capacity), so they are a pure function of
+  // (service configuration, log): the worker count, the session count
+  // and however warm the live cache already is (e.g. after --warm) can
+  // never change a byte of them.
   SchedulePlanCache model(service.plans().capacity());
   // Every distinct signature is built once per replay, in parallel across
   // the pool; the serial accounting below replays inserts (and, under
@@ -351,8 +352,8 @@ io::BenchReport replay_requests(PlanService& service,
 
     // Phase 3 (serial): replay the batch one request at a time against
     // the model cache — find, and on a miss insert the prebuilt plan —
-    // so hit/miss, eviction and collision accounting are exactly the
-    // serial cold daemon's.  A request's latency includes
+    // so hit/miss, eviction and collision accounting are
+    // exactly the serial cold daemon's.  A request's latency includes
     // the batch build it waited on when it missed.
     for (std::size_t i = 0; i < n; ++i) {
       const auto t0 = clock::now();

@@ -205,8 +205,9 @@ struct ReplayOptions {
 /// build_waits, evictions, collisions, predicted_sum_s) are exact.
 ///
 /// Accounting is defined as *serial one-request-at-a-time semantics from
-/// a cold cache*, computed against a private model cache of the service's
-/// capacity — so the report is a pure function of (service configuration, log): byte-identical for
+/// a cold cache*, computed against a private model cache configured like
+/// the service's (same capacity) — so the report is
+/// a pure function of (service configuration, log): byte-identical for
 /// every worker count, every session count, and regardless of how warm
 /// the live cache already is.  `build_waits` is the one batch-scoped
 /// series: it counts the requests that would have waited on an earlier
