@@ -9,83 +9,16 @@ std::size_t InstanceCache::instance_bytes(
   // cache-entry bookkeeping.  Allocator slack is not modelled; the bound
   // is a working-set knob, not an allocator audit.
   return 2 * n * n * sizeof(Time) + n * sizeof(Time) +
-         sizeof(sched::Instance) + sizeof(Entry) + sizeof(Key);
-}
-
-void InstanceCache::evict_to_capacity() {
-  if (capacity_ == kUnbounded) return;
-  while (bytes_ > capacity_ && !lru_.empty()) {
-    const Key victim = lru_.back();
-    lru_.pop_back();
-    const auto it = cache_.find(victim);
-    bytes_ -= it->second.bytes;
-    cache_.erase(it);  // holders' shared_ptrs keep the instance alive
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
+         sizeof(sched::Instance) + entry_bytes();
 }
 
 InstancePtr InstanceCache::get(ClusterId root, Bytes m) {
-  const Key key{root, m};
-  {
-    std::lock_guard lk(mu_);
-    if (const auto it = cache_.find(key); it != cache_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      lru_.splice(lru_.begin(), lru_, it->second.lru);  // promote to MRU
-      return it->second.instance;
-    }
-  }
-  // Derive outside the lock: distinct keys must not serialise behind one
-  // O(clusters²) derivation (the threaded sweeps request many sizes at
-  // once).
-  auto derived = std::make_shared<const sched::Instance>(
-      sched::Instance::from_grid(*grid_, root, m));
-  std::lock_guard lk(mu_);
-  // Counts derivations performed, lost races included.
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  // Pass-through mode: never retain.  Inserting and immediately evicting
-  // would tally a bogus eviction per lookup and churn the LRU list; the
-  // caller's shared_ptr is the only reference that ever exists.
-  if (capacity_ == 0) return derived;
-  const auto [it, inserted] = cache_.try_emplace(key);
-  if (inserted) {
-    const std::size_t sz = instance_bytes(*derived);
-    lru_.push_front(key);
-    it->second = Entry{std::move(derived), sz, lru_.begin()};
-    bytes_ += sz;
-  } else {
-    // Lost the derivation race: another thread inserted first.  The
-    // access is still a use of that entry — promote it, or a hot key two
-    // threads missed on together keeps a stale LRU position and can be
-    // evicted ahead of colder keys.
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-  }
-  // Copy out before evicting: with a capacity smaller than one instance
-  // the freshly inserted entry is itself the eviction victim, which would
-  // invalidate `it`.
-  InstancePtr result = it->second.instance;
-  evict_to_capacity();
-  return result;
-}
-
-void InstanceCache::set_capacity(std::size_t capacity_bytes) {
-  std::lock_guard lk(mu_);
-  capacity_ = capacity_bytes;
-  evict_to_capacity();
-}
-
-std::size_t InstanceCache::capacity() const {
-  std::lock_guard lk(mu_);
-  return capacity_;
-}
-
-std::size_t InstanceCache::bytes_in_use() const {
-  std::lock_guard lk(mu_);
-  return bytes_;
-}
-
-std::size_t InstanceCache::entries() const {
-  std::lock_guard lk(mu_);
-  return cache_.size();
+  return LruCache::get({root, m},
+                       [this](const std::pair<ClusterId, Bytes>& key) {
+                         return std::make_shared<const sched::Instance>(
+                             sched::Instance::from_grid(*grid_, key.first,
+                                                        key.second));
+                       });
 }
 
 }  // namespace gridcast::exp

@@ -1,18 +1,14 @@
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "sched/instance.hpp"
+#include "support/lru_cache.hpp"
 #include "topology/grid.hpp"
 
 /// Memoised `Instance::from_grid` derivations for one grid, bounded as a
-/// byte-accounted LRU.
+/// byte-accounted LRU (`LruCache`).
 ///
 /// Deriving an instance costs O(clusters²) gap-function evaluations, and
 /// sweep harnesses used to pay it once per (size, series) *cell* — the
@@ -21,74 +17,31 @@
 /// (grids are the expensive measured artefact and have no cheap identity).
 ///
 /// Root-rotation workloads (many roots × many sizes) would otherwise grow
-/// the map without limit, so the cache optionally bounds its footprint:
-/// when the byte account exceeds `capacity_bytes`, least-recently-used
-/// entries are evicted.  Entries are handed out as `shared_ptr`, so a
-/// holder's instance survives its own eviction — eviction only drops the
-/// cache's reference.
+/// the map without limit, so the cache optionally bounds its footprint in
+/// bytes (`instance_bytes` per entry).  The default is unbounded: sweep
+/// ladders are small.
 namespace gridcast::exp {
 
 /// Shared ownership handle for a cached derivation.
 using InstancePtr = std::shared_ptr<const sched::Instance>;
 
-class InstanceCache {
+class InstanceCache
+    : public LruCache<std::pair<ClusterId, Bytes>, sched::Instance> {
  public:
-  /// Sentinel capacity: never evict (the default — sweep ladders are
-  /// small; only root-rotation workloads need the bound).
-  static constexpr std::size_t kUnbounded = static_cast<std::size_t>(-1);
-
-  /// `capacity_bytes == kUnbounded` means no bound; `capacity_bytes == 0`
-  /// means pass-through: every `get` derives, nothing is ever retained or
-  /// pinned, and the byte account stays zero.  Anything in between is the
-  /// LRU bound in bytes.
+  /// `capacity_bytes` is `kUnbounded` or the LRU bound in bytes.
   explicit InstanceCache(const topology::Grid& grid,
                          std::size_t capacity_bytes = kUnbounded)
-      : grid_(&grid), capacity_(capacity_bytes) {}
+      : LruCache(capacity_bytes, &instance_bytes), grid_(&grid) {}
   /// The cache only references the grid; a temporary would dangle.
   explicit InstanceCache(topology::Grid&&, std::size_t = kUnbounded) = delete;
-
-  InstanceCache(const InstanceCache&) = delete;
-  InstanceCache& operator=(const InstanceCache&) = delete;
 
   [[nodiscard]] const topology::Grid& grid() const noexcept { return *grid_; }
 
   /// The instance the grid poses for an m-byte broadcast rooted at `root`,
-  /// derived on first use and promoted to most-recently-used.  Thread-safe.
-  /// Concurrent first requests for the same key may derive twice
-  /// (derivation runs outside the lock so distinct keys never serialise);
-  /// the first insertion wins and derivation is deterministic, so all
-  /// callers see identical values.
+  /// derived on first use (outside the lock, so distinct keys never
+  /// serialise) and promoted to most-recently-used.  Thread-safe;
+  /// concurrent first requests for one key share one derivation.
   [[nodiscard]] InstancePtr get(ClusterId root, Bytes m);
-
-  /// Change the byte bound (`kUnbounded` = no bound, 0 = pass-through),
-  /// evicting immediately if the current account exceeds it.
-  void set_capacity(std::size_t capacity_bytes);
-  [[nodiscard]] std::size_t capacity() const;
-
-  /// Bytes the cached instances account for (matrix + vector payloads via
-  /// `instance_bytes`); the basis of the eviction decision.
-  [[nodiscard]] std::size_t bytes_in_use() const;
-
-  /// Entries dropped by the LRU bound so far.  The three stats counters
-  /// are monitoring data, not synchronisation: they are relaxed atomics,
-  /// so readers never contend with the cache lock and TSan stays quiet
-  /// when a sweep thread polls them mid-run.  Each value is exact; a
-  /// cross-counter snapshot (hits vs misses) taken mid-run may straddle
-  /// an in-flight lookup.
-  [[nodiscard]] std::uint64_t evictions() const noexcept {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-
-  /// Distinct (root, size) keys currently held.
-  [[nodiscard]] std::size_t entries() const;
-
-  /// Lookups that found an existing entry / had to derive one.
-  [[nodiscard]] std::uint64_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
 
   /// The accounting rule: what one cached instance charges against the
   /// capacity (its two clusters² time matrices, the T vector, and the
@@ -97,26 +50,7 @@ class InstanceCache {
       const sched::Instance& inst) noexcept;
 
  private:
-  using Key = std::pair<ClusterId, Bytes>;
-  struct Entry {
-    InstancePtr instance;
-    std::size_t bytes = 0;
-    std::list<Key>::iterator lru;  ///< position in lru_ (front = recent)
-  };
-
-  /// Drop least-recently-used entries until the account fits `capacity_`.
-  /// Caller holds `mu_`.
-  void evict_to_capacity();
-
   const topology::Grid* grid_;
-  mutable std::mutex mu_;
-  std::map<Key, Entry> cache_;
-  std::list<Key> lru_;  ///< most recently used at the front
-  std::size_t capacity_;
-  std::size_t bytes_ = 0;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
 };
 
 }  // namespace gridcast::exp

@@ -33,16 +33,6 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-std::uint64_t parse_u64(const std::string& token, const char* what) {
-  std::uint64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), v);
-  if (ec != std::errc{} || ptr != token.data() + token.size())
-    throw InvalidInput(std::string(what) + ": '" + token +
-                       "' is not a non-negative integer");
-  return v;
-}
-
 /// parse_u64 for a cluster id: a value above its 32-bit range is rejected,
 /// not truncated onto another cluster.
 ClusterId parse_cluster_id(const std::string& token, const char* what) {
@@ -124,6 +114,16 @@ void refuse_sharded_timing(const RaceSpec& spec) {
 }
 
 }  // namespace
+
+std::uint64_t parse_u64(const std::string& token, const char* what) {
+  std::uint64_t v = 0;
+  const auto [ptr, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), v);
+  if (ec != std::errc{} || ptr != token.data() + token.size())
+    throw InvalidInput(std::string(what) + ": '" + token +
+                       "' is not a non-negative integer");
+  return v;
+}
 
 Bytes parse_size(const std::string& token) {
   std::size_t suffix = 0;

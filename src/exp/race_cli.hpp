@@ -203,6 +203,11 @@ struct RaceCli {
 [[nodiscard]] std::vector<std::size_t> parse_cluster_list(
     const std::string& value);
 
+/// Parse a plain decimal count: digits only, no sign, space or suffix, and
+/// no value past 2^64 - 1.  Throws InvalidInput naming `what` (the flag).
+[[nodiscard]] std::uint64_t parse_u64(const std::string& token,
+                                      const char* what);
+
 /// Parse a size token: plain bytes ("262144") or a K/KiB/M/MiB-suffixed
 /// decimal ("256K", "4.25MiB", case-insensitive).
 [[nodiscard]] Bytes parse_size(const std::string& token);

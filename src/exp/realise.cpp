@@ -39,7 +39,7 @@ topology::Grid realise_instance(const sched::Instance& inst) {
   std::vector<topology::Cluster> clusters;
   clusters.reserve(n);
   for (ClusterId c = 0; c < n; ++c)
-    clusters.emplace_back("c" + std::to_string(c), 2,
+    clusters.emplace_back(std::string("c").append(std::to_string(c)), 2,
                           exact_link(inst.T(c), 0.0),
                           plogp::BcastAlgorithm::kBinomial);
 

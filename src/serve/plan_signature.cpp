@@ -5,22 +5,11 @@
 #include "io/grid_io.hpp"
 #include "sched/order_memo.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace gridcast::serve {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::string_view text,
-                    std::uint64_t h = kFnvOffset) noexcept {
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 /// Fixed-width lowercase hex — field widths in `encode()` must not vary
 /// with the value or two encodings could alias across field boundaries.
@@ -47,8 +36,6 @@ std::string PlanSignature::encode() const {
   out += hex16(sched_rev);
   return out;
 }
-
-std::uint64_t PlanSignature::hash() const { return fnv1a(encode()); }
 
 std::uint64_t grid_fingerprint(const topology::Grid& grid) {
   return fnv1a(io::grid_to_string(grid));
@@ -79,7 +66,7 @@ Bytes bucket_floor(std::uint32_t bucket) {
 
 std::uint64_t scheduler_set_revision(
     const std::vector<sched::Scheduler>& competitors) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnvBasis;
   for (const auto& comp : competitors) {
     h = fnv1a(sched::entry_key(comp.entry()), h);
     h = fnv1a(";", h);

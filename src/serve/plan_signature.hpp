@@ -1,5 +1,6 @@
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -13,10 +14,10 @@
 ///
 /// A schedule-request is fully determined by five inputs: the grid, the
 /// collective verb, the root cluster, the message size, and the scheduler
-/// set competing for the plan.  `PlanSignature` encodes them into a stable
-/// string (and a 64-bit hash of it) so repeat requests hit the
-/// `SchedulePlanCache` instead of re-running selection — nvfuser's "input
-/// id encoding for kernel cache lookup", applied to collective schedules.
+/// set competing for the plan.  `PlanSignature` reduces them to five
+/// ordered fields, the `SchedulePlanCache` key, so repeat requests hit the
+/// cache instead of re-running selection — nvfuser's "input id encoding
+/// for kernel cache lookup", applied to collective schedules.
 ///
 /// Two deliberate quantisations make the key *useful*, not just correct:
 ///
@@ -41,16 +42,11 @@ struct PlanSignature {
   std::uint32_t size_bucket = 0;  ///< `size_bucket_of(message size)`
   std::uint64_t sched_rev = 0;  ///< `scheduler_set_revision` of the set
 
-  [[nodiscard]] bool operator==(const PlanSignature&) const = default;
+  [[nodiscard]] auto operator<=>(const PlanSignature&) const = default;
 
-  /// Stable text encoding, e.g. "g=00a1…;v=bcast;r=0;b=80;s=3f…".  Two
-  /// signatures encode equal iff they compare equal; the cache's
-  /// collision check relies on exactly that.
+  /// Stable text encoding, e.g. "g=00a1…;v=bcast;r=0;b=80;s=3f…", for
+  /// diagnostics.  Two signatures encode equal iff they compare equal.
   [[nodiscard]] std::string encode() const;
-
-  /// FNV-1a over `encode()` — the cache key.  Colliding hashes with
-  /// unequal signatures are detected (and counted) by the cache.
-  [[nodiscard]] std::uint64_t hash() const;
 };
 
 /// 64-bit FNV-1a of the grid's full text serialisation.  Any change to

@@ -199,7 +199,6 @@ std::string PlanService::stats_line() const {
   out += " hits=" + std::to_string(plans_.hits());
   out += " misses=" + std::to_string(plans_.misses());
   out += " evictions=" + std::to_string(plans_.evictions());
-  out += " collisions=" + std::to_string(plans_.collisions());
   out += " build_waits=" + std::to_string(plans_.build_waits());
   out += " instances=" + std::to_string(instances_.entries());
   out += " instance_hits=" + std::to_string(instances_.hits());
@@ -301,7 +300,7 @@ io::BenchReport replay_requests(PlanService& service,
   // Every distinct signature is built once per replay, in parallel across
   // the pool; the serial accounting below replays inserts (and, under
   // eviction, re-inserts) from here.
-  std::map<std::string, PlanPtr> built_by_key;
+  std::map<PlanSignature, PlanPtr> built_by_sig;
   std::uint64_t hits = 0;
   std::uint64_t plans_built = 0;
   std::uint64_t build_waits = 0;
@@ -322,16 +321,14 @@ io::BenchReport replay_requests(PlanService& service,
     // would have waited on the first requester's build latch.
     std::vector<PlanSignature> sig;
     sig.reserve(n);
-    std::vector<std::string> key(n);
-    std::vector<std::pair<std::string, PlanSignature>> pending;
-    std::set<std::string> scheduled;
+    std::vector<PlanSignature> pending;
+    std::set<PlanSignature> scheduled;
     for (std::size_t i = 0; i < n; ++i) {
       const ReplayRequest& rq = requests[lo + i];
       sig.push_back(service.signature_for(rq.verb, rq.root, rq.size));
-      key[i] = sig[i].encode();
-      if (!built_by_key.contains(key[i])) {
-        if (scheduled.insert(key[i]).second)
-          pending.emplace_back(key[i], sig[i]);
+      if (!built_by_sig.contains(sig[i])) {
+        if (scheduled.insert(sig[i]).second)
+          pending.push_back(sig[i]);
         else
           ++build_waits;
       }
@@ -344,24 +341,24 @@ io::BenchReport replay_requests(PlanService& service,
     std::vector<PlanPtr> built(pending.size());
     pool.parallel_for(pending.size(), [&](std::size_t b, std::size_t e) {
       for (std::size_t j = b; j < e; ++j)
-        built[j] = service.build_plan(pending[j].second);
+        built[j] = service.build_plan(pending[j]);
     });
     for (std::size_t j = 0; j < pending.size(); ++j)
-      built_by_key[pending[j].first] = std::move(built[j]);
+      built_by_sig[pending[j]] = std::move(built[j]);
     const double build_s = serial_timing ? seconds_since(t_build) : 0.0;
 
     // Phase 3 (serial): replay the batch one request at a time against
     // the model cache — find, and on a miss insert the prebuilt plan —
-    // so hit/miss, eviction and collision accounting are
-    // exactly the serial cold daemon's.  A request's latency includes
-    // the batch build it waited on when it missed.
+    // so hit/miss and eviction accounting are exactly the serial cold
+    // daemon's.  A request's latency includes the batch build it waited
+    // on when it missed.
     for (std::size_t i = 0; i < n; ++i) {
       const auto t0 = clock::now();
       PlanPtr p = model.find(sig[i]);
       const bool missed = p == nullptr;
       if (missed) {
         ++plans_built;
-        p = model.insert(built_by_key[key[i]]);
+        p = model.insert(built_by_sig[sig[i]]);
       } else {
         ++hits;
       }
@@ -434,8 +431,6 @@ io::BenchReport replay_requests(PlanService& service,
       value_cell("build_waits", static_cast<double>(build_waits)));
   r.series.push_back(
       value_cell("evictions", static_cast<double>(model.evictions())));
-  r.series.push_back(
-      value_cell("collisions", static_cast<double>(model.collisions())));
   r.series.push_back(value_cell("predicted_sum_s", predicted_sum));
   if (opts.timing) {
     // The host-dependent tail: a lower-bounded requests/sec gate and
@@ -473,14 +468,13 @@ std::size_t warm_requests(PlanService& service,
 
     // Distinct signatures of this batch not already resident.
     std::vector<PlanSignature> pending;
-    std::set<std::string> scheduled;
+    std::set<PlanSignature> scheduled;
     for (std::size_t i = lo; i < hi; ++i) {
       const ReplayRequest& rq = requests[i];
       const PlanSignature sig =
           service.signature_for(rq.verb, rq.root, rq.size);
-      std::string key = sig.encode();
-      if (!scheduled.contains(key) && service.plans().find(sig) == nullptr) {
-        scheduled.insert(std::move(key));
+      if (!scheduled.contains(sig) && service.plans().find(sig) == nullptr) {
+        scheduled.insert(sig);
         pending.push_back(sig);
       }
     }

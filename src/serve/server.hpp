@@ -202,7 +202,7 @@ struct ReplayOptions {
 /// Replay `requests` through the service and report the outcome as a
 /// `"bench": "serve"` BenchReport: the axis is the request count, and
 /// the deterministic series (hit_rate, hits, misses, plans_built,
-/// build_waits, evictions, collisions, predicted_sum_s) are exact.
+/// build_waits, evictions, predicted_sum_s) are exact.
 ///
 /// Accounting is defined as *serial one-request-at-a-time semantics from
 /// a cold cache*, computed against a private model cache configured like

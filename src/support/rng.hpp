@@ -25,17 +25,26 @@ namespace gridcast {
   return z ^ (z >> 31);
 }
 
-/// FNV-1a over a name: stable across platforms, and a seed derived from it
-/// follows a series by name, not by its position in a competitor list.
-/// The offset is not the standard 64-bit basis (14695981039346656037), but
-/// every sweep cell seed and race draw derives from it, so it stays.
-[[nodiscard]] constexpr std::uint64_t name_hash(std::string_view s) noexcept {
-  std::uint64_t h = 1469598103934665603ULL;
+/// The standard 64-bit FNV offset basis.
+inline constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+
+/// 64-bit FNV-1a of `s`, continuing from `h`, so a caller can fold several
+/// strings into one hash.
+[[nodiscard]] constexpr std::uint64_t fnv1a(
+    std::string_view s, std::uint64_t h = kFnvBasis) noexcept {
   for (const char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+/// FNV-1a over a name: stable across platforms, and a seed derived from it
+/// follows a series by name, not by its position in a competitor list.
+/// The basis is not the standard one, but every sweep cell seed and race
+/// draw derives from it, so it stays.
+[[nodiscard]] constexpr std::uint64_t name_hash(std::string_view s) noexcept {
+  return fnv1a(s, 1469598103934665603ULL);
 }
 
 /// 64-bit splittable PRNG with uniform helpers.

@@ -96,7 +96,8 @@ TEST(Multilevel, ScheduledHeuristicStillWins) {
   // Make the WAN links heterogeneous so scheduling has something to find.
   std::vector<topology::Cluster> cs;
   for (int i = 0; i < 4; ++i)
-    cs.emplace_back("c" + std::to_string(i), 3, bare(us(50), us(10), 1e8));
+    cs.emplace_back(std::string("c").append(std::to_string(i)), 3,
+                    bare(us(50), us(10), 1e8));
   topology::Grid grid(std::move(cs));
   grid.set_link_symmetric(0, 1, bare(ms(5), us(100), 8e6));
   grid.set_link_symmetric(0, 2, bare(ms(20), us(100), 1e6));

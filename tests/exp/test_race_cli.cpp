@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "support/error.hpp"
 #include "topology/grid5000.hpp"
@@ -178,6 +180,22 @@ TEST(RaceCliParse, SizeUnits) {
   // Sub-byte sizes would truncate to 0; huge ones would overflow the cast.
   EXPECT_THROW((void)parse_size("0.5"), InvalidInput);
   EXPECT_THROW((void)parse_size("99999999999999999999999"), InvalidInput);
+}
+
+TEST(RaceCliParse, CountsAreDigitsOnly) {
+  EXPECT_EQ(parse_u64("0", "--n"), 0u);
+  EXPECT_EQ(parse_u64("18446744073709551615", "--n"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const std::string bad :
+       {"-1", "+2", " 2", "2 ", "", "18446744073709551616"}) {
+    try {
+      (void)parse_u64(bad, "--threads");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const InvalidInput& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "--threads: '" + bad + "' is not a non-negative integer");
+    }
+  }
 }
 
 // ------------------------------------------------------------- resolution

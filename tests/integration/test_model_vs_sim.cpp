@@ -30,7 +30,7 @@ topology::Grid random_bare_grid(std::uint64_t seed, std::uint32_t clusters) {
   std::vector<topology::Cluster> cs;
   for (std::uint32_t c = 0; c < clusters; ++c) {
     const auto size = static_cast<std::uint32_t>(rng.between(1, 8));
-    cs.emplace_back("c" + std::to_string(c), size,
+    cs.emplace_back(std::string("c").append(std::to_string(c)), size,
                     bare(rng.uniform(us(20), us(100)), us(10),
                          rng.uniform(5e7, 2e8)));
   }

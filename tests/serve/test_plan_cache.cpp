@@ -42,7 +42,6 @@ TEST(PlanCache, FindMissesThenHits) {
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.find(sig_of(11)), nullptr);
   EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.collisions(), 0u);
 }
 
 TEST(PlanCache, GetBuildsExactlyOncePerSignature) {
@@ -52,12 +51,28 @@ TEST(PlanCache, GetBuildsExactlyOncePerSignature) {
     ++builds;
     return fake_plan(s);
   };
-  const PlanPtr a = cache.get(sig_of(20), build);
-  const PlanPtr b = cache.get(sig_of(20), build);
+  const PlanSignature base = sig_of(20);
+  const PlanPtr a = cache.get(base, build);
+  const PlanPtr b = cache.get(base, build);
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(builds, 1);
-  (void)cache.get(sig_of(21), build);
-  EXPECT_EQ(builds, 2);
+
+  // The whole signature is the key: signatures that differ from `base`
+  // in any one field each build once and hold their own entry.
+  std::vector<PlanSignature> variants(5, base);
+  variants[0].grid_hash = 3;
+  variants[1].verb = collective::Verb::kScatter;
+  variants[2].root = 1;
+  variants[3].size_bucket = 21;
+  variants[4].sched_rev = 4;
+  for (const PlanSignature& v : variants) {
+    const PlanPtr p = cache.get(v, build);
+    EXPECT_EQ(cache.get(v, build).get(), p.get());
+    EXPECT_EQ(p->signature, v);
+  }
+  EXPECT_EQ(builds, 6);
+  EXPECT_EQ(cache.entries(), 6u);
+  EXPECT_EQ(cache.find(base).get(), a.get());
 }
 
 TEST(PlanCache, FirstInsertWinsOnEqualSignatures) {
@@ -100,39 +115,6 @@ TEST(PlanCache, HoldersSurviveEviction) {
   EXPECT_DOUBLE_EQ(held->predicted_makespan, 40.0);
 }
 
-TEST(PlanCache, CapacityZeroIsPassThrough) {
-  SchedulePlanCache cache(0);
-  const PlanPtr mine = fake_plan(sig_of(50));
-  // insert returns its argument: nothing is retained, nothing evicted.
-  EXPECT_EQ(cache.insert(mine).get(), mine.get());
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.bytes_in_use(), 0u);
-  EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_EQ(cache.find(sig_of(50)), nullptr);
-
-  int builds = 0;
-  const auto build = [&](const PlanSignature& s) {
-    ++builds;
-    return fake_plan(s);
-  };
-  (void)cache.get(sig_of(50), build);
-  (void)cache.get(sig_of(50), build);
-  EXPECT_EQ(builds, 2);  // re-built every time, never cached
-}
-
-TEST(PlanCache, SetCapacityEvictsImmediately) {
-  SchedulePlanCache cache;
-  for (std::uint32_t b = 0; b < 4; ++b) (void)cache.insert(fake_plan(sig_of(b)));
-  EXPECT_EQ(cache.entries(), 4u);
-  cache.set_capacity(2 * one_plan());
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_EQ(cache.evictions(), 2u);
-  cache.set_capacity(SchedulePlanCache::kUnbounded);
-  for (std::uint32_t b = 8; b < 12; ++b)
-    (void)cache.insert(fake_plan(sig_of(b)));
-  EXPECT_EQ(cache.evictions(), 2u);  // unbounded again: nothing further
-}
-
 TEST(PlanCache, TinyCapacityStillServes) {
   SchedulePlanCache cache(1);  // smaller than any plan
   const PlanPtr p = cache.insert(fake_plan(sig_of(60)));
@@ -148,7 +130,7 @@ TEST(PlanCache, ConcurrentGetsShareOneObjectPerSignature) {
   // signatures through a bound small enough to keep evictions racing,
   // while a monitor thread polls the relaxed counters.  Apart from being
   // race-free, the accounting must stay exact: every lookup lands in
-  // hits or misses, and no collision can occur between real signatures.
+  // hits or misses.
   SchedulePlanCache cache(3 * one_plan());
   constexpr int kThreads = 8;
   constexpr int kRounds = 200;
@@ -160,7 +142,7 @@ TEST(PlanCache, ConcurrentGetsShareOneObjectPerSignature) {
       (void)cache.hits();
       (void)cache.misses();
       (void)cache.evictions();
-      (void)cache.collisions();
+      (void)cache.build_waits();
     }
   });
   std::vector<PlanPtr> last(kThreads);
@@ -181,10 +163,9 @@ TEST(PlanCache, ConcurrentGetsShareOneObjectPerSignature) {
   stop.store(true, std::memory_order_release);
   monitor.join();
 
-  EXPECT_GE(cache.hits() + cache.misses(),
+  EXPECT_EQ(cache.hits() + cache.misses(),
             static_cast<std::uint64_t>(kThreads) * kRounds);
   EXPECT_GT(cache.evictions(), 0u);
-  EXPECT_EQ(cache.collisions(), 0u);
   EXPECT_LE(cache.entries(), 3u);
   for (int t = 0; t < kThreads; ++t) ASSERT_NE(last[t], nullptr);
   // Whatever is resident now is the shared object for its signature.
@@ -274,6 +255,21 @@ TEST(PlanCache, LatchedBuildFailurePropagatesAndClears) {
       cache.get(sig_of(81), [](const PlanSignature& s) { return fake_plan(s); });
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->signature.size_bucket, 81u);
+}
+
+TEST(PlanCache, BuilderMustReturnThePlanItWasAskedFor) {
+  SchedulePlanCache cache;
+  EXPECT_THROW((void)cache.get(sig_of(90),
+                               [](const PlanSignature&) {
+                                 return fake_plan(sig_of(91));
+                               }),
+               LogicError);
+  EXPECT_THROW((void)cache.get(sig_of(90),
+                               [](const PlanSignature&) { return PlanPtr{}; }),
+               LogicError);
+  EXPECT_EQ(cache.entries(), 0u);
+  // Neither failure left a latch behind.
+  EXPECT_NE(cache.get(sig_of(90), fake_plan), nullptr);
 }
 
 }  // namespace

@@ -174,7 +174,6 @@ TEST(PlanServiceProtocol, StatsReportTheCaches) {
   EXPECT_NE(s.find(" plans=1 "), std::string::npos) << s;
   EXPECT_NE(s.find(" hits=1 "), std::string::npos) << s;
   EXPECT_NE(s.find(" misses=1 "), std::string::npos) << s;
-  EXPECT_NE(s.find(" collisions=0 "), std::string::npos) << s;
   EXPECT_NE(s.find(" instance_misses="), std::string::npos) << s;
 }
 
@@ -244,7 +243,7 @@ TEST(Replay, BatchScopesOnlyBuildWaits) {
   const io::BenchReport serial = run(1);
   for (const char* name :
        {"hit_rate", "hits", "misses", "plans_built", "evictions",
-        "collisions", "predicted_sum_s"}) {
+        "predicted_sum_s"}) {
     const auto* w = wide.find_series(name);
     const auto* n = narrow.find_series(name);
     const auto* s = serial.find_series(name);
@@ -282,7 +281,7 @@ TEST(Replay, LiveStatsEqualTheReportSeries) {
     const io::BenchReport report = replay_requests(
         svc, checked_in_log(), pool, ReplayOptions{.batch = 1});
     for (const std::string name :
-         {"hits", "misses", "evictions", "collisions"}) {
+         {"hits", "misses", "evictions"}) {
       const auto* series = report.find_series(name);
       ASSERT_NE(series, nullptr) << name;
       const auto at = stats.find(' ' + name + '=');

@@ -11,6 +11,18 @@
 namespace gridcast {
 namespace {
 
+TEST(Fnv1a, StandardVectors) {
+  static_assert(fnv1a("") == 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  // Folding continues from the hash so far.
+  EXPECT_EQ(fnv1a("b", fnv1a("a")), fnv1a("ab"));
+  // name_hash is the same loop from its own basis, which every sweep
+  // seed derives from.
+  EXPECT_EQ(name_hash(""), 1469598103934665603ULL);
+  EXPECT_EQ(name_hash("a"), fnv1a("a", 1469598103934665603ULL));
+}
+
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());

@@ -74,8 +74,8 @@ std::string usage() {
       "  --grid=grid5000|FILE   grid to serve (default: built-in testbed)\n"
       "  --sched=all|a,b,c      competing schedulers (default: all)\n"
       "  --completion=MODEL     eager | after-last-send (default: eager)\n"
-      "  --capacity=BYTES       plan-cache bound, e.g. 64M (default: unbounded;\n"
-      "                         0 = pass-through)\n"
+      "  --capacity=BYTES       plan-cache bound, e.g. 64M (default: "
+      "unbounded)\n"
       "  --instance-capacity=BYTES  instance-cache bound (same spellings)\n"
       "  --warm=FILE            pre-build the plans a request log needs before\n"
       "                         serving (batched across --threads)\n"
@@ -111,18 +111,6 @@ std::string value_of(const std::string& arg) {
   return arg.substr(eq + 1);
 }
 
-std::uint64_t parse_count(const std::string& v, const char* what) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long n = std::stoull(v, &used);
-    if (used != v.size()) throw std::invalid_argument(v);
-    return n;
-  } catch (const std::exception&) {
-    throw InvalidInput(std::string(what) + " must be a non-negative integer, "
-                       "got '" + v + "'");
-  }
-}
-
 ServeCliArgs parse_args(const std::vector<std::string>& args) {
   ServeCliArgs cli;
   for (const auto& arg : args) {
@@ -156,10 +144,10 @@ ServeCliArgs parse_args(const std::vector<std::string>& args) {
       cli.warm_path = value_of(arg);
     } else if (key == "--threads") {
       cli.threads =
-          static_cast<std::size_t>(parse_count(value_of(arg), "--threads"));
+          static_cast<std::size_t>(exp::parse_u64(value_of(arg), "--threads"));
     } else if (key == "--batch") {
       cli.replay.batch =
-          static_cast<std::size_t>(parse_count(value_of(arg), "--batch"));
+          static_cast<std::size_t>(exp::parse_u64(value_of(arg), "--batch"));
       if (cli.replay.batch == 0)
         throw InvalidInput("--batch must be >= 1");
     } else if (key == "--requests") {
@@ -168,7 +156,7 @@ ServeCliArgs parse_args(const std::vector<std::string>& args) {
       cli.replay_report = true;
     } else if (key == "--sessions") {
       cli.replay.sessions = static_cast<std::size_t>(
-          parse_count(value_of(arg), "--sessions"));
+          exp::parse_u64(value_of(arg), "--sessions"));
       if (cli.replay.sessions == 0)
         throw InvalidInput("--sessions must be >= 1");
     } else if (arg == "--timing") {
@@ -176,7 +164,7 @@ ServeCliArgs parse_args(const std::vector<std::string>& args) {
     } else if (key == "--out") {
       cli.out_path = value_of(arg);
     } else if (key == "--port") {
-      const std::uint64_t p = parse_count(value_of(arg), "--port");
+      const std::uint64_t p = exp::parse_u64(value_of(arg), "--port");
       if (p == 0 || p > 65535) throw InvalidInput("--port must be 1..65535");
       cli.port = static_cast<int>(p);
     } else {
