@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -31,6 +32,7 @@
 
 #include "collective/alltoall.hpp"
 #include "collective/scatter.hpp"
+#include "exp/race_cli.hpp"
 #include "io/bench_json.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
@@ -97,6 +99,16 @@ std::uint64_t alltoall_workload(const topology::Grid& grid, Bytes block) {
   return net.messages();
 }
 
+/// --min-time's value: finite and > 0 (`inf` would never stop, and `nan`
+/// or a value <= 0 would time one pass).
+double parse_min_time(const std::string& token) {
+  const double v = exp::parse_double(token, "--min-time");
+  if (!std::isfinite(v) || !(v > 0.0))
+    throw InvalidInput("--min-time must be finite and > 0, got '" + token +
+                       "'");
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -110,9 +122,9 @@ int main(int argc, char** argv) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--min-time=", 0) == 0) {
       try {
-        min_time = std::stod(arg.substr(11));
-      } catch (const std::exception&) {
-        std::cerr << "bad --min-time value: " << arg << "\n";
+        min_time = parse_min_time(arg.substr(11));
+      } catch (const InvalidInput& e) {
+        std::cerr << "bench_sim_throughput: " << e.what() << "\n";
         return 2;
       }
     } else {

@@ -169,9 +169,11 @@ std::vector<std::vector<ClusterId>> alltoall_dest_order(
     const sched::SchedulerEntry& sched) {
   const auto n_clusters = static_cast<ClusterId>(grid.cluster_count());
   std::vector<std::vector<ClusterId>> dest_order(n_clusters);
+  if (n_clusters < 2) return dest_order;
+  // g, L and T do not depend on the root: derive them once and re-root.
+  sched::Instance inst = sched::Instance::from_grid(grid, 0, block);
   for (ClusterId c = 0; c < n_clusters; ++c) {
-    if (n_clusters < 2) break;
-    const sched::Instance inst = sched::Instance::from_grid(grid, c, block);
+    inst.set_root(c);
     const sched::SchedulerRuntimeInfo info(inst, block);
     GRIDCAST_ASSERT(sched.can_schedule(info),
                     "scheduler cannot handle this instance");

@@ -13,13 +13,14 @@
 /// Terminal deliveries: a delivery whose handler would only record an
 /// arrival time, issuing no further send, is recorded from the
 /// `SendTiming` that `sim::Network::send` returns and never enters the
-/// event calendar.  This is exact.  `send()` fixes every timing and draws
-/// the jitter at issue; the order of `send()` calls does not change; and
-/// deleting events from the `(time, seq)` order leaves the rest in the same
-/// relative order, so every remaining callback fires at the same `now()`
-/// and issues the same sends.  Only deliveries that send again stay on the
-/// calendar: gathers, coordinator exchanges, relays, and binomial children
-/// with subtrees of their own.
+/// event calendar.  This is exact.  `send()` fixes every timing at issue,
+/// taking the next two factors of the network's jitter stream; the order
+/// of `send()` calls does not change; and deleting events from the
+/// `(time, seq)` order leaves the rest in the same relative order, so every
+/// remaining callback fires at the same `now()` and issues the same sends.
+/// Only deliveries that send again stay on the calendar: gathers,
+/// coordinator exchanges, relays, and binomial children with subtrees of
+/// their own.
 namespace gridcast::collective::detail {
 
 /// A Network carries one collective.  Its counters are then that

@@ -45,15 +45,6 @@ ClusterId parse_cluster_id(const std::string& token, const char* what) {
   return static_cast<ClusterId>(v);
 }
 
-double parse_double(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size() || token.empty())
-    throw InvalidInput(std::string(what) + ": '" + token +
-                       "' is not a number");
-  return v;
-}
-
 /// A --check tolerance.  An infinite, NaN or negative value (or a zero
 /// factor) would switch its gate off, so it must be finite and >= 0
 /// (`zero_ok`, the relative drift bound) or > 0 (the slack factors).
@@ -122,6 +113,15 @@ std::uint64_t parse_u64(const std::string& token, const char* what) {
   if (ec != std::errc{} || ptr != token.data() + token.size())
     throw InvalidInput(std::string(what) + ": '" + token +
                        "' is not a non-negative integer");
+  return v;
+}
+
+double parse_double(const std::string& token, const char* what) {
+  char* end = nullptr;
+  const double v = std::strtod(token.c_str(), &end);
+  if (end != token.c_str() + token.size() || token.empty())
+    throw InvalidInput(std::string(what) + ": '" + token +
+                       "' is not a number");
   return v;
 }
 

@@ -208,6 +208,11 @@ struct RaceCli {
 [[nodiscard]] std::uint64_t parse_u64(const std::string& token,
                                       const char* what);
 
+/// Parse a whole token as a `strtod` number (which admits `inf` and
+/// `nan`: callers check the range they need).  Throws InvalidInput naming
+/// `what` (the flag).
+[[nodiscard]] double parse_double(const std::string& token, const char* what);
+
 /// Parse a size token: plain bytes ("262144") or a K/KiB/M/MiB-suffixed
 /// decimal ("256K", "4.25MiB", case-insensitive).
 [[nodiscard]] Bytes parse_size(const std::string& token);

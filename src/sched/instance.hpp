@@ -39,6 +39,13 @@ class Instance {
     T_.assign(clusters, 0.0);
   }
 
+  /// Move the root to `root`, keeping g, L and T, which do not depend on
+  /// it: one grid derivation then serves broadcasts from every cluster.
+  void set_root(ClusterId root) {
+    GRIDCAST_ASSERT(root < clusters(), "root cluster out of range");
+    root_ = root;
+  }
+
   /// Set the symmetric link parameters of the unordered pair {i, j}.
   void set_symmetric_edge(ClusterId i, ClusterId j, Time g, Time L) {
     GRIDCAST_ASSERT(i != j, "no self edges");

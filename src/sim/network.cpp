@@ -25,12 +25,17 @@ Network::Network(const topology::Grid& grid, JitterConfig jitter,
                                       : &grid.link(fc, tc));
 }
 
-double Network::jitter_factor() {
-  if (jitter_.frac == 0.0) return 1.0;
-  double f = rng_.normal(1.0, jitter_.frac);
-  const double lo = 1.0 - 3.0 * jitter_.frac;
-  const double hi = 1.0 + 3.0 * jitter_.frac;
-  return std::clamp(f, std::max(lo, 0.05), hi);
+void Network::refill_jitter() {
+  // rng_ feeds nothing else, so each block continues where the last one
+  // stopped, and the factors are those of one normal(1, frac) per draw.
+  const std::size_t n = rng_.normal_block(jitter_buf_);
+  const double frac = jitter_.frac;
+  const double lo = std::max(1.0 - 3.0 * frac, 0.05);
+  const double hi = 1.0 + 3.0 * frac;
+  for (std::size_t i = 0; i < n; ++i)
+    jitter_buf_[i] = std::clamp(1.0 + frac * jitter_buf_[i], lo, hi);
+  jitter_next_ = 0;
+  jitter_end_ = n;
 }
 
 Time Network::nic_free(NodeId rank) const {

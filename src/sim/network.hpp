@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -16,6 +18,13 @@
 /// overhead: delivered = start + g(m) + L + or(m).  Link parameters come
 /// from the grid: the cluster's intra pLogP set for same-cluster pairs,
 /// the inter-cluster link set otherwise.
+///
+/// Under jitter, each send scales its gap and then its latency by the next
+/// two factors of the network's own stream, `Rng::stream(seed, 0xD15C0)`.
+/// The factors are drawn a block of polar candidates ahead
+/// (`Rng::normal_block`): the same doubles, in the same order, as one
+/// `normal(1, frac)` call per factor, each clamped to
+/// [max(1 - 3 frac, 0.05), 1 + 3 frac].
 ///
 /// This intentionally includes the receive overhead the scheduling model
 /// omits — the residual between Fig. 5 (predicted) and Fig. 6 (measured)
@@ -112,12 +121,24 @@ class Network {
   static constexpr std::uint64_t kEmptyPair = ~std::uint64_t{0};
   static constexpr std::size_t kMemoSlots = 128;  // power of two
 
-  [[nodiscard]] double jitter_factor();
+  /// Candidate pairs drawn per jitter refill.
+  static constexpr std::size_t kJitterPairs = 32;
+
+  /// The next factor of the jitter stream; draws nothing without jitter.
+  [[nodiscard]] double jitter_factor() {
+    if (jitter_.frac == 0.0) return 1.0;
+    if (jitter_next_ == jitter_end_) refill_jitter();
+    return jitter_buf_[jitter_next_++];
+  }
+  void refill_jitter();
 
   const topology::Grid& grid_;
   Engine engine_;
   JitterConfig jitter_;
-  Rng rng_;
+  Rng rng_;  ///< feeds the jitter buffer only
+  std::array<double, 2 * kJitterPairs> jitter_buf_{};  ///< clamped factors
+  std::size_t jitter_next_ = 0;  ///< next unread factor
+  std::size_t jitter_end_ = 0;   ///< factors in jitter_buf_
   std::uint32_t ranks_;
   std::size_t n_clusters_;
   std::vector<Time> nic_free_;

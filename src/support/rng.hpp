@@ -1,7 +1,8 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <string_view>
 
 #include "support/error.hpp"
@@ -106,24 +107,46 @@ class Rng {
     return lo + static_cast<std::int64_t>(below(span));
   }
 
-  /// Standard normal via Marsaglia polar method (for link jitter).
+  /// Standard normal via the Marsaglia-Bray polar method (SIAM Review
+  /// 6(3), 1964), for link jitter.  Each accepted candidate pair yields two
+  /// normals: this call returns the first and keeps the second for the next.
   double normal() noexcept {
     if (have_spare_) {
       have_spare_ = false;
       return spare_;
     }
-    double u, v, s;
-    do {
-      u = 2.0 * uniform() - 1.0;
-      v = 2.0 * uniform() - 1.0;
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double k = std::numeric_limits<double>::epsilon();  // guard log(0)
-    (void)k;
-    const double f = __builtin_sqrt(-2.0 * __builtin_log(s) / s);
-    spare_ = v * f;
+    Polar p = polar_candidate();
+    while (!p.accepted()) p = polar_candidate();
+    const double f = p.scale();
+    spare_ = p.v * f;
     have_spare_ = true;
-    return u * f;
+    return p.u * f;
+  }
+
+  /// The normals that successive normal() calls would return from here,
+  /// drawn a block at a time: takes N/2 polar candidates (another N/2 while
+  /// none is accepted), keeps the accepted ones without a branch, then
+  /// transforms them.  Writes out[0, k) and returns k, an even count >= 2.
+  /// Must start at a pair boundary: no normal() spare may be pending.
+  template <std::size_t N>
+  std::size_t normal_block(std::array<double, N>& out) {
+    static_assert(N >= 2 && N % 2 == 0, "normals come in pairs");
+    GRIDCAST_ASSERT(!have_spare_, "normal_block with a normal() spare pending");
+    constexpr std::size_t kPairs = N / 2;
+    Polar kept[kPairs]{};
+    std::size_t m = 0;
+    do {
+      for (std::size_t i = 0; i < kPairs; ++i) {
+        kept[m] = polar_candidate();
+        m += kept[m].accepted();
+      }
+    } while (m == 0);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double f = kept[i].scale();
+      out[2 * i] = kept[i].u * f;
+      out[2 * i + 1] = kept[i].v * f;
+    }
+    return 2 * m;
   }
 
   /// Normal with mean/stddev.
@@ -145,6 +168,30 @@ class Rng {
  private:
   [[nodiscard]] static std::uint64_t mix_seed(std::uint64_t seed) noexcept {
     return mix64(seed + 0x2545f4914f6cdd1dULL);
+  }
+
+  /// One candidate point (u, v) of the polar method, uniform on
+  /// [-1, 1)^2, with its squared radius s.
+  struct Polar {
+    double u, v, s;
+
+    /// Inside the unit circle and off the origin (s == 0 would be log(0)).
+    /// Evaluates both compares, so a caller can count acceptances
+    /// without a branch.
+    [[nodiscard]] bool accepted() const noexcept {
+      return (s < 1.0) & (s != 0.0);
+    }
+    /// For an accepted point, u * scale() and v * scale() are two
+    /// independent standard normals.
+    [[nodiscard]] double scale() const noexcept {
+      return __builtin_sqrt(-2.0 * __builtin_log(s) / s);
+    }
+  };
+
+  Polar polar_candidate() noexcept {
+    const double u = 2.0 * uniform() - 1.0;
+    const double v = 2.0 * uniform() - 1.0;
+    return {u, v, u * u + v * v};
   }
 
   std::uint64_t state_;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "sched/registry.hpp"
+#include "topology/generator.hpp"
+#include "topology/grid5000.hpp"
+
 namespace gridcast::collective {
 namespace {
 
@@ -136,6 +142,58 @@ TEST(Alltoall, SingleRankIsInstant) {
   EXPECT_DOUBLE_EQ(run_naive_alltoall(n1, KiB(4)).completion, 0.0);
   sim::Network n2(grid, {}, 1);
   EXPECT_DOUBLE_EQ(run_hierarchical_alltoall(n2, KiB(4)).completion, 0.0);
+}
+
+// ---- alltoall_dest_order derives one instance and re-roots it per
+// coordinator; the orders must be those of a derivation per root.
+
+using DestOrder = std::vector<std::vector<ClusterId>>;
+
+/// The dest order from a fresh Instance::from_grid per root, or nullopt
+/// when `sched` refuses one of the roots.
+std::optional<DestOrder> per_root_dest_order(
+    const topology::Grid& grid, Bytes block,
+    const sched::SchedulerEntry& sched) {
+  const auto n = static_cast<ClusterId>(grid.cluster_count());
+  DestOrder out(n);
+  if (n < 2) return out;
+  for (ClusterId c = 0; c < n; ++c) {
+    const sched::Instance inst = sched::Instance::from_grid(grid, c, block);
+    const sched::SchedulerRuntimeInfo info(inst, block);
+    if (!sched.can_schedule(info)) return std::nullopt;
+    for (const auto& [s, r] : sched.order(info)) out[c].push_back(r);
+  }
+  return out;
+}
+
+TEST(AlltoallDestOrder, EqualsAFreshDerivationPerRoot) {
+  topology::GeneratorConfig cfg;
+  cfg.clusters = 9;
+  cfg.sites = 3;
+  Rng rng = Rng::stream(23, 0);
+  const topology::Grid grids[] = {topology::grid5000_testbed(),
+                                  topology::random_grid(cfg, rng)};
+  std::size_t compared = 0;
+  for (const topology::Grid& grid : grids) {
+    for (const Bytes block : {Bytes{1}, KiB(64), MiB(4)}) {
+      for (const std::string& name : sched::registry().names()) {
+        SCOPED_TRACE(name + " at " + std::to_string(block) + " B on " +
+                     std::to_string(grid.cluster_count()) + " clusters");
+        const sched::SchedulerEntryPtr entry = sched::registry().make(name);
+        const std::optional<DestOrder> want =
+            per_root_dest_order(grid, block, *entry);
+        if (!want) {
+          EXPECT_THROW((void)alltoall_dest_order(grid, block, *entry),
+                       LogicError);
+          continue;
+        }
+        EXPECT_EQ(alltoall_dest_order(grid, block, *entry), *want);
+        ++compared;
+      }
+    }
+  }
+  // Most entries accept both grids; the shape-gated ones may refuse.
+  EXPECT_GE(compared, 2 * 3 * (sched::registry().names().size() - 2));
 }
 
 }  // namespace

@@ -2,14 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "support/error.hpp"
 
 namespace gridcast::sim {
 namespace {
 
-/// Two clusters of two nodes; zero-overhead parameters make every timing
-/// a closed form: intra gap 0.01+m/1e8, inter gap 0.001+m/1e7.
-topology::Grid test_grid() {
+/// Two clusters of `nodes` nodes each; zero-overhead parameters make every
+/// timing a closed form: intra gap 0.01+m/1e8, inter gap 0.001+m/1e7.
+topology::Grid test_grid(std::uint32_t nodes = 2) {
   plogp::Params intra;
   intra.L = 0.001;
   intra.g = plogp::GapFunction::affine(0.01, 1e8);
@@ -23,8 +25,8 @@ topology::Grid test_grid() {
   inter.orecv = plogp::GapFunction::constant(0.0);
 
   std::vector<topology::Cluster> cs;
-  cs.emplace_back("a", 2, intra);
-  cs.emplace_back("b", 2, intra);
+  cs.emplace_back("a", nodes, intra);
+  cs.emplace_back("b", nodes, intra);
   topology::Grid g(std::move(cs));
   g.set_link_symmetric(0, 1, inter);
   return g;
@@ -129,6 +131,48 @@ TEST(Network, JitterDeterministicPerSeed) {
   for (int i = 0; i < 5; ++i)
     EXPECT_DOUBLE_EQ(a.send(0, 2, 1000).delivered,
                      b.send(0, 2, 1000).delivered);
+}
+
+TEST(Network, JitterFactorsAreSuccessiveClampedNormals) {
+  // 300 sends, each from its own idle NIC, so every send starts at 0 and
+  // its timing is the closed form of its two factors: the next two
+  // normal(1, frac) draws of the network's stream, clamped.  0.49 clamps
+  // often; frac = 0 must draw nothing and time exactly as without jitter.
+  const topology::Grid grid = test_grid(150);
+  const Bytes m = 1000000;
+  const std::uint64_t seed = 7;
+  for (const double frac : {0.0, 0.05, 0.2, 0.49}) {
+    SCOPED_TRACE(frac);
+    Network net(grid, {frac}, seed);
+    Rng stream = Rng::stream(seed, 0xD15C0);
+    const double lo = std::max(1.0 - 3.0 * frac, 0.05);
+    const double hi = 1.0 + 3.0 * frac;
+    int clamped = 0;
+    const auto factor = [&] {
+      if (frac == 0.0) return 1.0;
+      const double f = std::clamp(stream.normal(1.0, frac), lo, hi);
+      clamped += (f == lo || f == hi);
+      return f;
+    };
+    for (NodeId from = 0; from < 300; ++from) {
+      const NodeId to = from % 3 == 0 ? (from + 150) % 300 : from ^ 1;
+      const ClusterId fc = grid.locate(from).first;
+      const ClusterId tc = grid.locate(to).first;
+      const plogp::Params& p =
+          fc == tc ? grid.cluster(fc).intra() : grid.link(fc, tc);
+      const double gap_factor = factor();
+      const double latency_factor = factor();
+      const Time injected = p.g(m) * gap_factor;
+      const Time delivered = injected + p.L * latency_factor + p.orecv(m);
+      const SendTiming t = net.send(from, to, m);
+      ASSERT_EQ(t.start, 0.0);
+      ASSERT_EQ(t.injected, injected) << "send " << from;
+      ASSERT_EQ(t.delivered, delivered) << "send " << from;
+    }
+    if (frac == 0.49) {
+      EXPECT_GT(clamped, 0);
+    }
+  }
 }
 
 TEST(Network, ReceiveOverheadIncludedInDelivery) {

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -140,6 +142,56 @@ TEST(Rng, NormalScaled) {
   double sum = 0.0;
   for (int i = 0; i < n; ++i) sum += r.normal(5.0, 2.0);
   EXPECT_NEAR(sum / n, 5.0, 0.05);
+}
+
+/// Draws `refills` blocks of N normals from one stream of `seed` and
+/// checks each against successive normal() calls on a twin stream, bit
+/// for bit.  Returns the normals compared.
+template <std::size_t N>
+std::size_t expect_blocks_equal_scalar(std::uint64_t seed, int refills) {
+  Rng blocks = Rng::stream(seed, 5);
+  Rng scalar = Rng::stream(seed, 5);
+  std::array<double, N> buf{};
+  std::size_t compared = 0;
+  for (int refill = 0; refill < refills; ++refill) {
+    const std::size_t k = blocks.normal_block(buf);
+    EXPECT_GE(k, 2u);
+    EXPECT_LE(k, N);
+    EXPECT_EQ(k % 2, 0u);
+    for (std::size_t i = 0; i < k; ++i) {
+      const double want = scalar.normal();
+      if (std::bit_cast<std::uint64_t>(buf[i]) !=
+          std::bit_cast<std::uint64_t>(want)) {
+        ADD_FAILURE() << "seed " << seed << ", block of " << N << ", refill "
+                      << refill << ", normal " << i << ": " << buf[i]
+                      << " != " << want;
+        return compared;
+      }
+      ++compared;
+    }
+  }
+  return compared;
+}
+
+TEST(Rng, NormalBlockEqualsSuccessiveNormals) {
+  // A block takes the same candidates in the same order as normal() and
+  // keeps the accepted ones, so its normals are normal()'s, bit for bit.
+  for (const std::uint64_t seed : {0ull, 1ull, 42ull, 0xD15C0ull, 9011ull}) {
+    // 64 normals per block, as the simulator's jitter buffer draws them.
+    EXPECT_GT(expect_blocks_equal_scalar<64>(seed, 500), 20000u);
+    // One candidate per block: about one block in five accepts nothing
+    // on its first pass and must draw again, never hand out stale slots.
+    EXPECT_EQ(expect_blocks_equal_scalar<2>(seed, 2000), 4000u);
+  }
+}
+
+TEST(Rng, NormalBlockNeedsAPairBoundary) {
+  Rng r(3);
+  (void)r.normal();  // leaves the pair's second normal pending
+  std::array<double, 8> buf{};
+  EXPECT_THROW((void)r.normal_block(buf), LogicError);
+  (void)r.normal();
+  EXPECT_GE(r.normal_block(buf), 2u);
 }
 
 TEST(Rng, ShuffleIsPermutation) {
