@@ -5,10 +5,10 @@ namespace gridcast::exp {
 std::size_t InstanceCache::instance_bytes(
     const sched::Instance& inst) noexcept {
   const std::size_t n = inst.clusters();
-  // Two n×n Time matrices (g, L), the T vector, plus the Instance and
-  // cache-entry bookkeeping.  Allocator slack is not modelled; the bound
-  // is a working-set knob, not an allocator audit.
-  return 2 * n * n * sizeof(Time) + n * sizeof(Time) +
+  // Three n×n Time matrices (g, L, g + L), the T vector, plus the Instance
+  // and cache-entry bookkeeping.  Allocator slack is not modelled; the
+  // bound is a working-set knob, not an allocator audit.
+  return 3 * n * n * sizeof(Time) + n * sizeof(Time) +
          sizeof(sched::Instance) + entry_bytes();
 }
 

@@ -15,6 +15,9 @@
 /// measured sweep re-derived the identical instance for every competitor
 /// of a size.  The cache keys on (root, size); the grid is fixed per cache
 /// (grids are the expensive measured artefact and have no cheap identity).
+/// All-to-all needs every root, but g, L and T do not depend on it: its
+/// gate (`verb_accepts`) re-roots a copy of the size's root-0 entry, so an
+/// all-to-all ladder holds one instance per size.
 ///
 /// Root-rotation workloads (many roots × many sizes) would otherwise grow
 /// the map without limit, so the cache optionally bounds its footprint in
@@ -44,8 +47,8 @@ class InstanceCache
   [[nodiscard]] InstancePtr get(ClusterId root, Bytes m);
 
   /// The accounting rule: what one cached instance charges against the
-  /// capacity (its two clusters² time matrices, the T vector, and the
-  /// bookkeeping structs).
+  /// capacity (its three clusters² time matrices — g, L and the g+L
+  /// transfer table — the T vector, and the bookkeeping structs).
   [[nodiscard]] static std::size_t instance_bytes(
       const sched::Instance& inst) noexcept;
 

@@ -6,7 +6,6 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -117,9 +116,10 @@ std::uint64_t parse_u64(const std::string& token, const char* what) {
 }
 
 double parse_double(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size() || token.empty())
+  double v = 0.0;
+  const auto [ptr, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), v);
+  if (ec != std::errc{} || ptr != token.data() + token.size())
     throw InvalidInput(std::string(what) + ": '" + token +
                        "' is not a number");
   return v;

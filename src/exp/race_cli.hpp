@@ -208,9 +208,10 @@ struct RaceCli {
 [[nodiscard]] std::uint64_t parse_u64(const std::string& token,
                                       const char* what);
 
-/// Parse a whole token as a `strtod` number (which admits `inf` and
-/// `nan`: callers check the range they need).  Throws InvalidInput naming
-/// `what` (the flag).
+/// Parse a whole token as a decimal number (`std::from_chars`: no leading
+/// space or `+`, no hex float, nothing out of double range; `inf` and `nan`
+/// parse, so callers check the range they need).  Throws InvalidInput
+/// naming `what` (the flag).
 [[nodiscard]] double parse_double(const std::string& token, const char* what);
 
 /// Parse a size token: plain bytes ("262144") or a K/KiB/M/MiB-suffixed

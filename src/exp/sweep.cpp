@@ -42,18 +42,20 @@ std::uint64_t measured_cell_seed(std::uint64_t seed, std::size_t size_index,
 
 bool verb_accepts(const sched::Scheduler& comp, collective::Verb verb,
                   InstanceCache& cache, ClusterId root, Bytes m) {
-  const bool all_roots = verb == collective::Verb::kAlltoall;
-  const ClusterId first = all_roots ? 0 : root;
-  const auto count =
-      all_roots ? static_cast<ClusterId>(cache.grid().cluster_count()) : 1;
   const sched::CompletionModel completion =
       verb == collective::Verb::kBcast ? comp.options().completion
                                        : sched::CompletionModel::kEager;
-  for (ClusterId k = 0; k < count; ++k) {
-    const InstancePtr inst = cache.get(first + k, m);
-    if (!comp.entry().can_schedule(
-            sched::SchedulerRuntimeInfo(*inst, m, completion)))
-      return false;
+  const auto accepts = [&](const sched::Instance& inst) {
+    return comp.entry().can_schedule(
+        sched::SchedulerRuntimeInfo(inst, m, completion));
+  };
+  if (verb != collective::Verb::kAlltoall) return accepts(*cache.get(root, m));
+  // g, L and T do not depend on the root: one cached instance per size,
+  // re-rooted at every cluster in turn.
+  sched::Instance inst = *cache.get(0, m);
+  for (ClusterId k = 0; k < inst.clusters(); ++k) {
+    inst.set_root(k);
+    if (!accepts(inst)) return false;
   }
   return true;
 }

@@ -68,8 +68,12 @@ struct ShardSpec {
 /// The per-verb gate, shared by the sweeps and the plan daemon: whether
 /// `comp` can schedule every instance an m-byte `verb` cell schedules
 /// from.  All-to-all executes one schedule per root cluster, so it probes
-/// every root; broadcast and scatter probe `root` alone.  Each instance
-/// (derived through `cache`) is probed with the info the verb path builds:
+/// every root; broadcast and scatter probe `root` alone.  The all-to-all
+/// probes take the one instance `cache` holds for the size (keyed root 0;
+/// `root` is unused) and re-root a copy at each cluster (`set_root`), since
+/// g, L and T do not depend on the root, so the cache holds one all-to-all
+/// instance per size, not one per root.  Each instance is probed with the
+/// info the verb path builds:
 /// the competitor's completion model for broadcasts, eager for scatter and
 /// all-to-all (their order derivations construct exactly that, and a gate
 /// that disagreed with their can_schedule assert would skip-vs-die

@@ -18,6 +18,7 @@ void EvalState::reset(const Instance& inst) {
   nic_free_.assign(inst.clusters(), 0.0);
   last_busy_.assign(inst.clusters(), 0.0);
   log_.clear();
+  log_.reserve(inst.clusters() - 1);  // one transfer per non-root
   ready_[inst.root()] = 0.0;
 }
 

@@ -38,27 +38,6 @@ struct Sets {
   std::vector<ClusterId> b;
 };
 
-/// One edge cost per ordered pair, row-major: the kernels' working copy of
-/// an instance's costs, so their loops read one contiguous row per cluster
-/// instead of two bounds-checked matrices per pair.  The values are the
-/// ones `cost` returns, so no decision changes.
-class EdgeRows {
- public:
-  template <typename Cost>
-  EdgeRows(std::size_t n, Cost cost) : n_(n), w_(n * n, 0.0) {
-    for (ClusterId i = 0; i < n; ++i)
-      for (ClusterId j = 0; j < n; ++j)
-        if (i != j) w_[i * n + j] = cost(i, j);
-  }
-  [[nodiscard]] const Time* row(ClusterId i) const {
-    return w_.data() + i * n_;
-  }
-
- private:
-  std::size_t n_;
-  std::vector<Time> w_;
-};
-
 /// The minimum of `cost(k)` over the members `ks`, folded into four
 /// independent accumulators so that each compare waits on the one four
 /// members back instead of on the one before it.  A minimum is exact and
@@ -118,16 +97,15 @@ SendPair least_pair(const Sets& sets, CostFrom cost_from) {
 /// The look-ahead F_j of every j in B, kept current as clusters move from
 /// B to A (see `Lookahead` for what each one maintains, what it costs and
 /// why only AvgMove's sum is reassociated).  Reads the caller's `Sets`,
-/// which must already reflect a move when `moved_to_a` is called.
+/// which must already reflect a move when `moved_to_a` is called, and the
+/// instance's transfer rows in place.
 class LookaheadState {
  public:
-  LookaheadState(const Instance& inst, const EdgeRows& transfer,
-                 Lookahead la, const Sets& sets)
+  LookaheadState(const Instance& inst, Lookahead la, const Sets& sets)
       : inst_(inst),
-        transfer_(transfer),
         la_(la),
         sets_(sets),
-        f_(inst.clusters(), 0.0) {
+        f_(la == Lookahead::kNone ? 0 : inst.clusters(), 0.0) {
     switch (la_) {
       case Lookahead::kNone: return;
       case Lookahead::kMinEdge:
@@ -136,12 +114,13 @@ class LookaheadState {
         arg_.assign(inst.clusters(), kNoCluster);
         for (const ClusterId j : sets_.b) rescan(j);
         return;
-      case Lookahead::kAvgAfterMove:
+      case Lookahead::kAvgAfterMove: {
         col_sum_.assign(inst.clusters(), 0.0);
-        for (const ClusterId k : sets_.b)
-          col_sum_[k] = transfer_.row(inst.root())[k];
+        const Time* from_root = inst.transfer_row(inst.root());
+        for (const ClusterId k : sets_.b) col_sum_[k] = from_root[k];
         refold<true>();
         return;
+      }
       case Lookahead::kAvgEdge: refold<false>(); return;
     }
   }
@@ -160,10 +139,12 @@ class LookaheadState {
         for (const ClusterId j : sets_.b)
           if (arg_[j] == c) rescan(j);
         return;
-      case Lookahead::kAvgAfterMove:
-        for (const ClusterId k : sets_.b) col_sum_[k] += transfer_.row(c)[k];
+      case Lookahead::kAvgAfterMove: {
+        const Time* from_c = inst_.transfer_row(c);
+        for (const ClusterId k : sets_.b) col_sum_[k] += from_c[k];
         refold<true>();
         return;
+      }
       case Lookahead::kAvgEdge: refold<false>(); return;
     }
   }
@@ -175,7 +156,7 @@ class LookaheadState {
     const bool is_max = la_ == Lookahead::kMaxEdgePlusT;
     Time acc = is_max ? 0.0 : kInf;
     ClusterId arg = kNoCluster;
-    const Time* from_j = transfer_.row(j);
+    const Time* from_j = inst_.transfer_row(j);
     for (const ClusterId k : sets_.b) {
       if (k == j) continue;
       Time v = from_j[k];
@@ -216,7 +197,7 @@ class LookaheadState {
     const Time* from[R];
     Time sum[R];
     for (std::size_t r = 0; r < R; ++r) {
-      from[r] = transfer_.row(b[p + r]);
+      from[r] = inst_.transfer_row(b[p + r]);
       sum[r] = 0.0;
     }
     // Row r skips k = b[p + r], its own column: every row adds the columns
@@ -237,13 +218,43 @@ class LookaheadState {
   }
 
   const Instance& inst_;
-  const EdgeRows& transfer_;
   const Lookahead la_;
   const Sets& sets_;
-  std::vector<Time> f_;          ///< F_j, valid for j in B
+  std::vector<Time> f_;          ///< F_j, valid for j in B (empty: kNone)
   std::vector<ClusterId> arg_;   ///< extrema: the k attaining F_j
   std::vector<Time> col_sum_;    ///< AvgMove: Σ_{i in A} transfer(i, k)
 };
+
+/// The ECEF rounds, with (`kLookahead`) or without the F_j term.  Plain
+/// ECEF's F_j are all 0.0, and x + 0.0 == x for these non-negative costs,
+/// so leaving the term out takes the same decisions.
+template <bool kLookahead>
+SendOrder ecef_rounds(const Instance& inst, Lookahead la) {
+  Sets sets(inst);
+  EvalState state(inst);
+  LookaheadState lookahead(inst, la, sets);
+  SendOrder order;
+  order.reserve(inst.clusters() - 1);
+
+  const auto cost_from = [&](ClusterId i) {
+    return [&, start = state.send_start(i),
+            from_i = inst.transfer_row(i)](ClusterId j) {
+      if constexpr (kLookahead)
+        return start + from_i[j] + lookahead[j];
+      else
+        return start + from_i[j];
+    };
+  };
+
+  while (!sets.b.empty()) {
+    const SendPair p = least_pair(sets, cost_from);
+    order.push_back(p);
+    state.apply(p.sender, p.receiver);
+    sets.move_to_a(p.receiver);
+    lookahead.moved_to_a(p.receiver);
+  }
+  return order;
+}
 
 }  // namespace
 
@@ -259,13 +270,11 @@ SendOrder fef_order(const Instance& inst, FefWeight weight) {
   Sets sets(inst);
   SendOrder order;
   order.reserve(inst.clusters() - 1);
-  const EdgeRows w(inst.clusters(), [&](ClusterId i, ClusterId j) {
-    return weight == FefWeight::kGapPlusLatency ? inst.transfer(i, j)
-                                                : inst.L(i, j);
-  });
 
   const auto cost_from = [&](ClusterId i) {
-    return [from_i = w.row(i)](ClusterId j) { return from_i[j]; };
+    return [from_i = weight == FefWeight::kGapPlusLatency
+                         ? inst.transfer_row(i)
+                         : inst.L_row(i)](ClusterId j) { return from_i[j]; };
   };
 
   while (!sets.b.empty()) {
@@ -277,30 +286,8 @@ SendOrder fef_order(const Instance& inst, FefWeight weight) {
 }
 
 SendOrder ecef_order(const Instance& inst, Lookahead la) {
-  Sets sets(inst);
-  EvalState state(inst);
-  const EdgeRows transfer(inst.clusters(), [&](ClusterId i, ClusterId j) {
-    return inst.transfer(i, j);
-  });
-  LookaheadState lookahead(inst, transfer, la, sets);
-  SendOrder order;
-  order.reserve(inst.clusters() - 1);
-
-  const auto cost_from = [&](ClusterId i) {
-    return [start = state.send_start(i), from_i = transfer.row(i),
-            &lookahead](ClusterId j) {
-      return start + from_i[j] + lookahead[j];
-    };
-  };
-
-  while (!sets.b.empty()) {
-    const SendPair p = least_pair(sets, cost_from);
-    order.push_back(p);
-    state.apply(p.sender, p.receiver);
-    sets.move_to_a(p.receiver);
-    lookahead.moved_to_a(p.receiver);
-  }
-  return order;
+  return la == Lookahead::kNone ? ecef_rounds<false>(inst, la)
+                                : ecef_rounds<true>(inst, la);
 }
 
 SendOrder bottomup_order(const Instance& inst, BottomUpPolicy policy) {
@@ -310,14 +297,15 @@ SendOrder bottomup_order(const Instance& inst, BottomUpPolicy policy) {
   order.reserve(inst.clusters() - 1);
   // Each sender's RT_i; the paper formula leaves every one at 0.
   std::vector<Time> ready(inst.clusters(), 0.0);
-  // Row j holds every sender's transfer into j.
-  const EdgeRows into(inst.clusters(), [&](ClusterId j, ClusterId i) {
-    return inst.transfer(i, j);
-  });
+  // Column j of the transfer table holds every sender's transfer into j.
+  const Time* table = inst.transfer_row(0);
+  const std::size_t n = inst.clusters();
 
   const auto cost_into = [&](ClusterId j) {
-    return [rt = ready.data(), into_j = into.row(j),
-            t_j = inst.T(j)](ClusterId i) { return rt[i] + into_j[i] + t_j; };
+    return [rt = ready.data(), into_j = table + j, n,
+            t_j = inst.T(j)](ClusterId i) {
+      return rt[i] + into_j[i * n] + t_j;
+    };
   };
 
   while (!sets.b.empty()) {

@@ -25,7 +25,12 @@
 /// then scans the winning row for the first member attaining it.  A
 /// minimum is exact in any fold order, and the scan recomputes the same
 /// expression, so ties go to the first pair in ascending (sender,
-/// receiver) order, as with a strict-less row-major scan.
+/// receiver) order, as with a strict-less row-major scan.  The kernels
+/// copy no costs: FEF reads rows of L (or of the transfer table, for the
+/// g+L weight), the ECEF family and its look-aheads read rows of the
+/// instance's transfer table in place, and BottomUp reads its column j at
+/// stride n.  Plain ECEF leaves out the look-ahead term, which is 0.0 for
+/// every j: adding it changes no non-negative cost.
 ///
 /// These free functions are the selection kernels; the polymorphic
 /// `SchedulerEntry` wrappers in builtin_schedulers.hpp expose them through

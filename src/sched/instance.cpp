@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "support/contracts.hpp"
 #include "support/error.hpp"
 
 namespace gridcast::sched {
@@ -10,6 +11,12 @@ namespace gridcast::sched {
 Instance::Instance(ClusterId root, SquareMatrix<Time> g, SquareMatrix<Time> L,
                    std::vector<Time> T)
     : root_(root), g_(std::move(g)), L_(std::move(L)), T_(std::move(T)) {
+  const std::size_t n = T_.size();
+  GRIDCAST_ASSERT(g_.size() == n && L_.size() == n,
+                  "matrix sizes must match cluster count");
+  transfer_.assign(n, 0.0);
+  for (ClusterId i = 0; i < n; ++i)
+    for (ClusterId j = 0; j < n; ++j) transfer_(i, j) = g_(i, j) + L_(i, j);
   validate();
 }
 
@@ -50,7 +57,7 @@ Time Instance::lower_bound() const {
 void Instance::validate() const {
   const std::size_t n = T_.size();
   GRIDCAST_ASSERT(n >= 1, "instance needs at least one cluster");
-  GRIDCAST_ASSERT(g_.size() == n && L_.size() == n,
+  GRIDCAST_ASSERT(g_.size() == n && L_.size() == n && transfer_.size() == n,
                   "matrix sizes must match cluster count");
   GRIDCAST_ASSERT(root_ < n, "root out of range");
   for (ClusterId i = 0; i < n; ++i) {
@@ -59,6 +66,8 @@ void Instance::validate() const {
       if (i == j) continue;
       GRIDCAST_ASSERT(g_(i, j) >= 0.0, "negative gap");
       GRIDCAST_ASSERT(L_(i, j) >= 0.0, "negative latency");
+      GRIDCAST_DCHECK(transfer_(i, j) == g_(i, j) + L_(i, j),
+                      "transfer table out of step with g + L");
     }
   }
 }

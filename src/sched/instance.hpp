@@ -14,7 +14,10 @@
 /// matrix g_ij(m), the latency matrix L_ij, and the per-cluster internal
 /// broadcast time T_c.  Keeping g and L separate (instead of a single cost
 /// matrix) preserves the FEF ablation where the edge weight is the latency
-/// alone.
+/// alone.  Their sum, the transfer cost g_ij + L_ij, is kept as a third
+/// row-major matrix that every constructor and mutator fills, so the
+/// selection kernels read its rows in place instead of copying n² costs
+/// per call, and `transfer()` is one load.
 namespace gridcast::sched {
 
 class Instance {
@@ -36,6 +39,7 @@ class Instance {
     root_ = root;
     g_.assign(clusters, 0.0);
     L_.assign(clusters, 0.0);
+    transfer_.assign(clusters, 0.0);
     T_.assign(clusters, 0.0);
   }
 
@@ -53,6 +57,8 @@ class Instance {
     g_(j, i) = g;
     L_(i, j) = L;
     L_(j, i) = L;
+    transfer_(i, j) = g + L;
+    transfer_(j, i) = g + L;
   }
 
   /// Set cluster c's internal broadcast time.
@@ -79,8 +85,17 @@ class Instance {
 
   /// The paper's transfer cost g_ij(m) + L_ij.
   [[nodiscard]] Time transfer(ClusterId i, ClusterId j) const {
-    return g_(i, j) + L_(i, j);
+    return transfer_(i, j);
   }
+
+  /// Row i of the transfer table: `transfer_row(i)[j]` is transfer(i, j).
+  /// Rows are contiguous, so column j is `transfer_row(0) + j` at stride
+  /// clusters().
+  [[nodiscard]] const Time* transfer_row(ClusterId i) const {
+    return transfer_.row(i);
+  }
+  /// Row i of L: `L_row(i)[j]` is L(i, j).
+  [[nodiscard]] const Time* L_row(ClusterId i) const { return L_.row(i); }
 
   /// Largest internal broadcast time — a component of every makespan
   /// lower bound.
@@ -92,12 +107,15 @@ class Instance {
   /// is >= this.
   [[nodiscard]] Time lower_bound() const;
 
+  /// Throws LogicError unless the sizes agree, the root is in range and no
+  /// time is negative; DCHECKs that the transfer table equals g + L.
   void validate() const;
 
  private:
   ClusterId root_ = 0;
   SquareMatrix<Time> g_;
   SquareMatrix<Time> L_;
+  SquareMatrix<Time> transfer_;  ///< g_ + L_, element by element
   std::vector<Time> T_;
 };
 

@@ -35,6 +35,14 @@ class SquareMatrix {
   T& operator()(std::size_t r, std::size_t c) { return at(r, c); }
   const T& operator()(std::size_t r, std::size_t c) const { return at(r, c); }
 
+  /// Row r as contiguous storage: `row(r)[c]` is `at(r, c)`, and the rows
+  /// follow one another, so `row(0)[r * size() + c]` is too.  For inner
+  /// loops that would otherwise bounds-check every element.
+  [[nodiscard]] const T* row(std::size_t r) const {
+    GRIDCAST_ASSERT(r < n_, "matrix row out of range");
+    return data_.data() + r * n_;
+  }
+
   /// Fill the whole matrix with a value.
   void fill(const T& v) {
     for (auto& x : data_) x = v;

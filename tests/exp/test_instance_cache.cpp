@@ -47,6 +47,16 @@ TEST(InstanceCache, MatchesDirectDerivation) {
   }
 }
 
+TEST(InstanceCache, ChargesThreeMatricesPerInstance) {
+  // g, L and the g+L transfer table, the T vector and the bookkeeping.
+  const auto grid = topology::grid5000_testbed();
+  const sched::Instance inst = sched::Instance::from_grid(grid, 0, MiB(1));
+  const std::size_t n = inst.clusters();
+  EXPECT_EQ(InstanceCache::instance_bytes(inst),
+            3 * n * n * sizeof(Time) + n * sizeof(Time) +
+                sizeof(sched::Instance) + InstanceCache::entry_bytes());
+}
+
 TEST(InstanceCache, HandlesStayValidAcrossGrowth) {
   const auto grid = topology::grid5000_testbed();
   InstanceCache cache(grid);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 namespace gridcast::exp {
 namespace {
 
@@ -84,6 +87,24 @@ TEST(SampleInstance, DeterministicPerStream) {
     for (ClusterId j = 0; j < 6; ++j)
       if (i != j) {
         EXPECT_DOUBLE_EQ(ia.transfer(i, j), ib.transfer(i, j));
+      }
+  }
+}
+
+TEST(SampleInstance, ReusedInstanceKeepsItsTransferTableInStep) {
+  // The Monte-Carlo loops refill one Instance across cluster counts; the
+  // reshape between draws must resize and reset the g+L table too.
+  Rng rng = Rng::stream(11, 0);
+  sched::Instance inst;
+  for (const std::size_t n : {50, 5, 50}) {
+    sample_instance_into(ParamRanges::paper(), n, rng, 0, inst);
+    ASSERT_EQ(inst.clusters(), n);
+    for (ClusterId i = 0; i < n; ++i)
+      for (ClusterId j = 0; j < n; ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(inst.transfer(i, j)),
+                  std::bit_cast<std::uint64_t>(inst.g(i, j) + inst.L(i, j)))
+            << "n=" << n << " (" << i << ", " << j << ")";
+        EXPECT_EQ(inst.transfer_row(0)[i * n + j], inst.transfer(i, j));
       }
   }
 }

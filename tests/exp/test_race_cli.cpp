@@ -175,11 +175,32 @@ TEST(RaceCliParse, SizeUnits) {
   EXPECT_EQ(parse_size("256kib"), KiB(256));
   EXPECT_EQ(parse_size("4M"), MiB(4));
   EXPECT_EQ(parse_size("0.5MiB"), KiB(512));
+  EXPECT_EQ(parse_size(".5M"), KiB(512));
+  EXPECT_EQ(parse_size("1.5k"), Bytes{1536});
   EXPECT_THROW((void)parse_size("MiB"), InvalidInput);
   EXPECT_THROW((void)parse_size("0K"), InvalidInput);
   // Sub-byte sizes would truncate to 0; huge ones would overflow the cast.
   EXPECT_THROW((void)parse_size("0.5"), InvalidInput);
   EXPECT_THROW((void)parse_size("99999999999999999999999"), InvalidInput);
+}
+
+TEST(RaceCliParse, NumbersAreDecimalOnly) {
+  EXPECT_EQ(parse_double("0.05", "--jitter"), 0.05);
+  EXPECT_EQ(parse_double(".5", "--jitter"), 0.5);
+  EXPECT_EQ(parse_double("1e-3", "--rtol"), 1e-3);
+  // Leading space, hex floats, a leading '+' and values past the double
+  // range all get the one-line diagnostic.
+  for (const std::string bad :
+       {" 0.05", "0x1p-4", "+0.05", "1e400", "", "0.05 "}) {
+    try {
+      (void)parse_double(bad, "--jitter");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const InvalidInput& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "--jitter: '" + bad + "' is not a number");
+    }
+  }
+  EXPECT_THROW((void)parse_race_cli({"--jitter= 0.05"}), InvalidInput);
 }
 
 TEST(RaceCliParse, CountsAreDigitsOnly) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "collective/backends.hpp"
+#include "topology/cluster.hpp"
 #include "topology/grid5000.hpp"
 
 namespace gridcast::exp {
@@ -191,6 +192,76 @@ TEST(Sweep, EmptyInputsRejected) {
   EXPECT_THROW((void)backend_sweep(tb.plogp, tb.cache, 0,
                                    sched::paper_heuristics(), {}, 0, tb.pool),
                LogicError);
+}
+
+// ------------------------------------------------------------ verb gate
+
+/// Four clusters whose hub is cluster 0: every spoke-to-spoke link costs
+/// about twice a hub link, and every link dwarfs the internal broadcasts
+/// (a WAN).  Star-WAN's gate therefore accepts root 0 and no other root.
+topology::Grid star_grid() {
+  std::vector<topology::Cluster> cs;
+  for (int c = 0; c < 4; ++c)
+    cs.emplace_back("c" + std::to_string(c), 4,
+                    plogp::Params::latency_bandwidth(us(50), 1e9));
+  topology::Grid grid(std::move(cs));
+  for (ClusterId i = 0; i < 4; ++i)
+    for (ClusterId j = i + 1; j < 4; ++j)
+      grid.set_link_symmetric(
+          i, j,
+          i == 0 ? plogp::Params::latency_bandwidth(ms(10), 1e7)
+                 : plogp::Params::latency_bandwidth(ms(20), 5e6));
+  return grid;
+}
+
+/// The all-to-all gate's definition: every registered scheduler accepts
+/// the instance rooted at each cluster, each derived afresh.
+void expect_alltoall_gate_is_every_root(const topology::Grid& grid) {
+  InstanceCache cache(grid);
+  for (const Bytes m : {KiB(256), MiB(1), MiB(4)})
+    for (const std::string& name : sched::registry().names()) {
+      const sched::Scheduler comp(name);
+      bool every_root = true;
+      for (ClusterId r = 0; r < grid.cluster_count(); ++r) {
+        const sched::Instance fresh = sched::Instance::from_grid(grid, r, m);
+        every_root = every_root &&
+                     comp.entry().can_schedule(sched::SchedulerRuntimeInfo(
+                         fresh, m, sched::CompletionModel::kEager));
+      }
+      EXPECT_EQ(verb_accepts(comp, collective::Verb::kAlltoall, cache, 0, m),
+                every_root)
+          << name << " at " << m << " B";
+    }
+}
+
+TEST(VerbGate, AlltoallAcceptsWhatEveryRootAccepts) {
+  expect_alltoall_gate_is_every_root(topology::grid5000_testbed());
+  const topology::Grid star = star_grid();
+  expect_alltoall_gate_is_every_root(star);
+
+  // On the star, a gate that probed its cached root-0 instance without
+  // re-rooting it would accept Star-WAN.
+  const sched::Scheduler star_wan("Star-WAN");
+  InstanceCache cache(star);
+  EXPECT_TRUE(verb_accepts(star_wan, collective::Verb::kBcast, cache, 0,
+                           MiB(1)));
+  EXPECT_FALSE(verb_accepts(star_wan, collective::Verb::kBcast, cache, 1,
+                            MiB(1)));
+  EXPECT_FALSE(verb_accepts(star_wan, collective::Verb::kAlltoall, cache, 0,
+                            MiB(1)));
+}
+
+TEST(VerbGate, AlltoallSweepDerivesOneInstancePerSize) {
+  Testbed tb;
+  std::vector<sched::Scheduler> all;
+  for (const std::string& name : sched::registry().names())
+    all.emplace_back(name);
+  const collective::PlogpBackend plogp(&tb.grid);
+  const std::vector<Bytes> ladder = default_size_ladder();
+  (void)backend_sweep(plogp, tb.cache, 0, all, ladder, 0, tb.pool, {},
+                      collective::Verb::kAlltoall);
+  EXPECT_EQ(tb.cache.misses(), ladder.size());
+  EXPECT_EQ(tb.cache.entries(), ladder.size());
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "support/error.hpp"
 #include "topology/grid.hpp"
+#include "topology/grid5000.hpp"
 
 namespace gridcast::sched {
 namespace {
@@ -29,6 +33,52 @@ TEST(Instance, Accessors) {
   EXPECT_DOUBLE_EQ(inst.T(2), 1.0);
   EXPECT_DOUBLE_EQ(inst.transfer(0, 1), 0.11);
   EXPECT_DOUBLE_EQ(inst.transfer(1, 2), 0.15);
+}
+
+/// Every transfer(i, j), and the row accessors the kernels read, equal
+/// g(i, j) + L(i, j) and L(i, j) bit for bit.
+void expect_table_in_step(const Instance& inst) {
+  const std::size_t n = inst.clusters();
+  for (ClusterId i = 0; i < n; ++i)
+    for (ClusterId j = 0; j < n; ++j) {
+      const Time sum = inst.g(i, j) + inst.L(i, j);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(inst.transfer(i, j)),
+                std::bit_cast<std::uint64_t>(sum))
+          << "(" << i << ", " << j << ")";
+      EXPECT_EQ(inst.transfer_row(i)[j], inst.transfer(i, j));
+      EXPECT_EQ(inst.transfer_row(0)[i * n + j], inst.transfer(i, j));
+      EXPECT_EQ(inst.L_row(i)[j], inst.L(i, j));
+    }
+}
+
+TEST(InstanceTransferTable, AsymmetricExplicitMatrices) {
+  SquareMatrix<Time> g(3, 0.0), L(3, 0.0);
+  for (ClusterId i = 0; i < 3; ++i)
+    for (ClusterId j = 0; j < 3; ++j) {
+      if (i == j) continue;
+      g(i, j) = 0.1 * (i + 1) + 0.03 * j;  // g(i, j) != g(j, i)
+      L(i, j) = 0.007 * (3 * i + j + 1);
+    }
+  const Instance inst(1, std::move(g), std::move(L), {0.5, 0.3, 1.0});
+  ASSERT_NE(inst.transfer(0, 2), inst.transfer(2, 0));
+  expect_table_in_step(inst);
+}
+
+TEST(InstanceTransferTable, FromGrid) {
+  const topology::Grid grid = topology::grid5000_testbed();
+  expect_table_in_step(Instance::from_grid(grid, 2, MiB(3)));
+}
+
+TEST(InstanceTransferTable, CopyThenSetRoot) {
+  const topology::Grid grid = topology::grid5000_testbed();
+  const Instance original = Instance::from_grid(grid, 0, MiB(1));
+  Instance copy = original;
+  copy.set_root(3);
+  EXPECT_EQ(copy.root(), 3u);
+  expect_table_in_step(copy);
+  for (ClusterId i = 0; i < copy.clusters(); ++i)
+    for (ClusterId j = 0; j < copy.clusters(); ++j)
+      EXPECT_EQ(copy.transfer(i, j), original.transfer(i, j));
 }
 
 TEST(Instance, MaxT) {

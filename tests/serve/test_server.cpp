@@ -80,6 +80,18 @@ TEST(PlanService, PlanForSharesOnePlanPerBucket) {
   EXPECT_EQ(a->entry->name(), a->scheduler);
 }
 
+TEST(PlanService, AlltoallBuildCachesOneInstancePerSize) {
+  // The all-to-all gate re-roots the size's one instance instead of
+  // deriving one per root cluster.
+  PlanService svc(testbed(), "g5k");
+  (void)svc.plan_for(collective::Verb::kAlltoall, 3, MiB(1));
+  EXPECT_EQ(svc.instances().entries(), 1u);
+  EXPECT_EQ(svc.instances().misses(), 1u);
+  (void)svc.plan_for(collective::Verb::kAlltoall, 0, MiB(2));
+  EXPECT_EQ(svc.instances().entries(), 2u);
+  EXPECT_EQ(svc.instances().misses(), 2u);
+}
+
 TEST(PlanService, BuildPlanRejectsForeignSignatures) {
   PlanService svc(testbed(), "g5k");
   PlanSignature sig = svc.signature_for(collective::Verb::kBcast, 0, MiB(1));

@@ -32,6 +32,18 @@ TEST(SquareMatrix, OutOfRangeThrows) {
   EXPECT_THROW((void)m.at(0, 2), LogicError);
 }
 
+TEST(SquareMatrix, RowsAreContiguousRowMajor) {
+  SquareMatrix<int> m(3, 0);
+  for (std::size_t r = 0; r < 3; ++r)
+    for (std::size_t c = 0; c < 3; ++c) m(r, c) = static_cast<int>(10 * r + c);
+  for (std::size_t r = 0; r < 3; ++r)
+    for (std::size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(m.row(r)[c], m(r, c));
+      EXPECT_EQ(m.row(0)[r * 3 + c], m(r, c));
+    }
+  EXPECT_THROW((void)m.row(3), LogicError);
+}
+
 TEST(SquareMatrix, Fill) {
   SquareMatrix<int> m(3, 1);
   m.fill(9);
