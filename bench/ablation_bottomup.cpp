@@ -9,7 +9,7 @@
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(2000);
+  const BenchOptions opt = benchx::options(2000);
   benchx::print_banner("Ablation: BottomUp ready-time",
                        "mean completion time (s), 1 MB broadcast", opt);
   ThreadPool pool(opt.threads);

@@ -9,7 +9,7 @@
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(2000);
+  const BenchOptions opt = benchx::options(2000);
   benchx::print_banner("Ablation: completion model",
                        "ECEF-family hit counts under both completion models",
                        opt);

@@ -10,7 +10,7 @@
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(2000);
+  const BenchOptions opt = benchx::options(2000);
   benchx::print_banner("Ablation: FEF edge weight",
                        "mean completion time (s), 1 MB broadcast", opt);
   ThreadPool pool(opt.threads);

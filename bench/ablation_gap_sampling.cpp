@@ -10,7 +10,7 @@
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(2000);
+  const BenchOptions opt = benchx::options(2000);
   benchx::print_banner("Ablation: gap sampling",
                        "ECEF-family hit counts, per-pair vs shared gap", opt);
   ThreadPool pool(opt.threads);

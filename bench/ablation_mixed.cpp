@@ -9,7 +9,7 @@
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(1500);
+  const BenchOptions opt = benchx::options(1500);
   benchx::print_banner("Ablation: mixed strategy",
                        "ECEF-LA vs ECEF-LAT vs mixed(threshold=10)", opt);
   ThreadPool pool(opt.threads);

@@ -1,22 +1,42 @@
 #pragma once
 
-// Shared plumbing for the bench binaries: banner printing and the
-// cluster-count sweep that Figs. 1-4 all use.  Each binary prints the same
-// rows/series as the paper artefact it reproduces; set GRIDCAST_CSV=1 for
-// machine-readable output and GRIDCAST_ITERS to change the Monte-Carlo
-// depth (EXPERIMENTS.md records the defaults used for the committed
-// results).
+// Shared plumbing for the bench binaries (and example_heuristic_race):
+// input checking, banner printing and the cluster-count sweep that Figs.
+// 1-4 all use.  Each binary prints the same rows/series as the paper
+// artefact it reproduces; set GRIDCAST_CSV=1 for machine-readable output
+// and GRIDCAST_ITERS to change the Monte-Carlo depth (EXPERIMENTS.md
+// records the defaults used for the committed results).
 
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "exp/race_cli.hpp"
+#include "support/error.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
 namespace gridcast::benchx {
+
+/// Runs `read`, which reads the binary's inputs (GRIDCAST_* variables,
+/// arguments).  A bad value ends the process with its one-line
+/// InvalidInput on stderr and exit 2, the CLI tools' usage-error status.
+template <typename Read>
+auto read_inputs(Read read) {
+  try {
+    return read();
+  } catch (const InvalidInput& e) {
+    std::cerr << e.what() << '\n';
+    std::exit(2);
+  }
+}
+
+/// BenchOptions::from_env through read_inputs.
+inline BenchOptions options(std::uint64_t default_iters) {
+  return read_inputs([=] { return BenchOptions::from_env(default_iters); });
+}
 
 inline void print_banner(const std::string& artefact, const std::string& what,
                          const BenchOptions& opt) {

@@ -8,7 +8,7 @@
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(3000);
+  const BenchOptions opt = benchx::options(3000);
   benchx::print_banner("Extension: makespan distributions",
                        "quantiles (s) of the 1 MB broadcast makespan", opt);
   ThreadPool pool(opt.threads);

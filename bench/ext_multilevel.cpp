@@ -12,7 +12,7 @@
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(1);
+  const BenchOptions opt = benchx::options(1);
   benchx::print_banner("Extension: related-work ladder",
                        "simulated completion (s) on the Table 3 testbed",
                        opt);

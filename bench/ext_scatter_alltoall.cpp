@@ -63,7 +63,7 @@ void run_rows(Table& t, const topology::Grid& grid, const char* scenario,
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(1);
+  const BenchOptions opt = benchx::options(1);
   benchx::print_banner("Extension: scatter / alltoall",
                        "naive vs grid-aware; WAN messages are the point",
                        opt);

@@ -11,7 +11,7 @@
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(10000);
+  const BenchOptions opt = benchx::options(10000);
   benchx::print_banner(
       "Figure 1", "1 MB broadcast, 2-10 clusters, mean completion time (s)",
       opt);

@@ -11,7 +11,7 @@
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(1000);
+  const BenchOptions opt = benchx::options(1000);
   benchx::print_banner(
       "Figure 2", "1 MB broadcast, 5-50 clusters, mean completion time (s)",
       opt);

@@ -10,7 +10,7 @@
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(1500);
+  const BenchOptions opt = benchx::options(1500);
   benchx::print_banner(
       "Figure 3",
       "1 MB broadcast, ECEF-family heuristics, mean completion time (s)",

@@ -14,7 +14,7 @@
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(2000);
+  const BenchOptions opt = benchx::options(2000);
   benchx::print_banner("Figure 4",
                        "hits on the global minimum among the ECEF family "
                        "(counts out of the iteration total)",

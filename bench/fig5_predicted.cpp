@@ -15,7 +15,7 @@
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(1);
+  const BenchOptions opt = benchx::options(1);
   benchx::print_banner(
       "Figure 5", "predicted broadcast time on the Table 3 testbed (s)", opt);
 

@@ -12,13 +12,19 @@
 
 #include "common.hpp"
 #include "exp/race_cli.hpp"
+#include "sim/network.hpp"
 #include "topology/grid5000.hpp"
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(1);
-  const double jitter =
-      static_cast<double>(env_u64("GRIDCAST_JITTER_PCT", 5)) / 100.0;
+  const BenchOptions opt = benchx::options(1);
+  const double jitter = benchx::read_inputs([] {
+    const auto pct = env_u64("GRIDCAST_JITTER_PCT", 5);
+    if (!sim::JitterConfig{pct / 100.0}.valid())
+      throw InvalidInput("GRIDCAST_JITTER_PCT must be below 50, got '" +
+                         std::to_string(pct) + "'");
+    return pct / 100.0;
+  });
   benchx::print_banner(
       "Figure 6",
       "simulator-measured broadcast time on the Table 3 testbed (s), "

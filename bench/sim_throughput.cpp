@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -32,11 +31,12 @@
 
 #include "collective/alltoall.hpp"
 #include "collective/scatter.hpp"
-#include "exp/race_cli.hpp"
+#include "common.hpp"
 #include "io/bench_json.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
 #include "support/error.hpp"
+#include "support/parse.hpp"
 #include "topology/grid5000.hpp"
 
 namespace {
@@ -99,13 +99,12 @@ std::uint64_t alltoall_workload(const topology::Grid& grid, Bytes block) {
   return net.messages();
 }
 
-/// --min-time's value: finite and > 0 (`inf` would never stop, and `nan`
-/// or a value <= 0 would time one pass).
+/// --min-time's value: > 0, or it would time one pass (the reader already
+/// refuses `inf`, which would never stop, and `nan`).
 double parse_min_time(const std::string& token) {
-  const double v = exp::parse_double(token, "--min-time");
-  if (!std::isfinite(v) || !(v > 0.0))
-    throw InvalidInput("--min-time must be finite and > 0, got '" + token +
-                       "'");
+  const double v = parse_decimal(token, "--min-time");
+  if (v <= 0.0)
+    throw InvalidInput("--min-time must be > 0, got '" + token + "'");
   return v;
 }
 
@@ -116,23 +115,18 @@ int main(int argc, char** argv) {
 
   std::string out_path = "BENCH_micro.json";
   double min_time = 0.2;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--min-time=", 0) == 0) {
-      try {
+  benchx::read_inputs([&] {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--out=", 0) == 0)
+        out_path = arg.substr(6);
+      else if (arg.rfind("--min-time=", 0) == 0)
         min_time = parse_min_time(arg.substr(11));
-      } catch (const InvalidInput& e) {
-        std::cerr << "bench_sim_throughput: " << e.what() << "\n";
-        return 2;
-      }
-    } else {
-      std::cerr << "usage: bench_sim_throughput [--out=FILE]"
-                   " [--min-time=SECONDS]\n";
-      return 2;
+      else
+        throw InvalidInput(
+            "usage: bench_sim_throughput [--out=FILE] [--min-time=SECONDS]");
     }
-  }
+  });
 
   const topology::Grid grid = topology::grid5000_testbed();
   const std::vector<Bytes> scales = {1000, 100000};

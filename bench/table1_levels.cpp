@@ -10,7 +10,7 @@
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(1);
+  const BenchOptions opt = benchx::options(1);
   benchx::print_banner("Table 1", "communication levels by latency", opt);
 
   Table t({"level", "name", "latency range", "bandwidth range (MB/s)",

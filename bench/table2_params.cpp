@@ -10,7 +10,7 @@
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(1000);
+  const BenchOptions opt = benchx::options(1000);
   benchx::print_banner("Table 2", "simulation parameter ranges", opt);
 
   const exp::ParamRanges r = exp::ParamRanges::paper();

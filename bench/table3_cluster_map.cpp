@@ -13,7 +13,7 @@
 
 int main() {
   using namespace gridcast;
-  const BenchOptions opt = BenchOptions::from_env(1);
+  const BenchOptions opt = benchx::options(1);
   benchx::print_banner("Table 3", "GRID5000 testbed latency matrix (us) and "
                                   "recovered cluster map",
                        opt);

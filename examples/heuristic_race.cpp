@@ -2,40 +2,32 @@
 // scenario): mean makespan and hit-rate per strategy for a few cluster
 // counts.  Usage: heuristic_race [clusters...]   (default: 5 10 20 40)
 
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
-#include "exp/race_cli.hpp"
-#include "support/options.hpp"
+#include "../bench/common.hpp"
+#include "support/parse.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace gridcast;
 
-  std::vector<std::size_t> counts;
-  for (int i = 1; i < argc; ++i) {
-    const long v = std::strtol(argv[i], nullptr, 10);
-    if (v < 2) {
-      std::cerr << "cluster counts must be >= 2\n";
-      return 1;
+  const std::vector<std::size_t> counts = benchx::read_inputs([&] {
+    std::vector<std::size_t> out;
+    for (int i = 1; i < argc; ++i) {
+      const auto n = parse_count<std::size_t>(argv[i], "cluster count");
+      if (n < 2)
+        throw InvalidInput(std::string("cluster count must be >= 2, got '") +
+                           argv[i] + "'");
+      out.push_back(n);
     }
-    counts.push_back(static_cast<std::size_t>(v));
-  }
-  if (counts.empty()) counts = {5, 10, 20, 40};
-
-  const BenchOptions opt = BenchOptions::from_env(2000);
+    return out.empty() ? std::vector<std::size_t>{5, 10, 20, 40} : out;
+  });
+  const BenchOptions opt = benchx::options(2000);
   ThreadPool pool(opt.threads);
-  exp::RaceGridSpec spec;
-  for (const auto& c : sched::paper_heuristics())
-    spec.sched_names.emplace_back(c.name());
-  spec.iterations = opt.iterations;
-  spec.seed = opt.seed;
-
   for (const std::size_t n : counts) {
-    spec.cluster_counts = {n};
-    const io::BenchReport r = exp::run_race_grid(spec, pool);
-
+    const io::BenchReport r = benchx::race(
+        {n}, benchx::names_of(sched::paper_heuristics()), opt, pool);
     std::cout << "\n== " << n << " clusters, " << r.iterations
               << " iterations ==\n";
     Table t({"heuristic", "mean (s)", "hit rate"});

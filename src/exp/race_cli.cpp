@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -23,6 +22,7 @@
 #include "sim/network.hpp"
 #include "support/contracts.hpp"
 #include "support/error.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "topology/grid5000.hpp"
 
@@ -32,26 +32,14 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-/// parse_u64 for a cluster id: a value above its 32-bit range is rejected,
-/// not truncated onto another cluster.
-ClusterId parse_cluster_id(const std::string& token, const char* what) {
-  const std::uint64_t v = parse_u64(token, what);
-  if (v > std::numeric_limits<ClusterId>::max())
-    throw InvalidInput(std::string(what) + ": '" + token +
-                       "' is out of range (max " +
-                       std::to_string(std::numeric_limits<ClusterId>::max()) +
-                       ")");
-  return static_cast<ClusterId>(v);
-}
-
-/// A --check tolerance.  An infinite, NaN or negative value (or a zero
-/// factor) would switch its gate off, so it must be finite and >= 0
-/// (`zero_ok`, the relative drift bound) or > 0 (the slack factors).
+/// A --check tolerance.  A negative value (or a zero factor) would switch
+/// its gate off, so it must be >= 0 (`zero_ok`, the relative drift bound)
+/// or > 0 (the slack factors); the reader already refuses inf and nan.
 double parse_tolerance(const std::string& token, const char* what,
                        bool zero_ok) {
-  const double v = parse_double(token, what);
-  if (!std::isfinite(v) || v < 0.0 || (v == 0.0 && !zero_ok))
-    throw InvalidInput(std::string(what) + " must be finite and " +
+  const double v = parse_decimal(token, what);
+  if (v < 0.0 || (v == 0.0 && !zero_ok))
+    throw InvalidInput(std::string(what) + " must be " +
                        (zero_ok ? ">= 0" : "> 0") + ", got '" + token + "'");
   return v;
 }
@@ -105,53 +93,34 @@ void refuse_sharded_timing(const RaceSpec& spec) {
 
 }  // namespace
 
-std::uint64_t parse_u64(const std::string& token, const char* what) {
-  std::uint64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), v);
-  if (ec != std::errc{} || ptr != token.data() + token.size())
-    throw InvalidInput(std::string(what) + ": '" + token +
-                       "' is not a non-negative integer");
-  return v;
-}
-
-double parse_double(const std::string& token, const char* what) {
-  double v = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), v);
-  if (ec != std::errc{} || ptr != token.data() + token.size())
-    throw InvalidInput(std::string(what) + ": '" + token +
-                       "' is not a number");
-  return v;
-}
-
 Bytes parse_size(const std::string& token) {
-  std::size_t suffix = 0;
-  while (suffix < token.size() &&
-         (std::isdigit(static_cast<unsigned char>(token[suffix])) ||
-          token[suffix] == '.'))
-    ++suffix;
-  const std::string num = token.substr(0, suffix);
-  const std::string unit = lower(token.substr(suffix));
-  if (num.empty())
-    throw InvalidInput("size '" + token + "' has no numeric part");
-  const double v = parse_double(num, "size");
-  double scale = 1.0;
+  const auto too_small = [&] {
+    return InvalidInput("size must be at least one byte, got '" + token +
+                        "'");
+  };
+  const std::size_t unit_at = token.find_first_not_of("0123456789.");
+  if (unit_at == std::string::npos) {
+    // Plain bytes are a count, read exactly (2^53 + 1 stays itself).
+    const auto b = parse_count<Bytes>(token, "size");
+    if (b == 0) throw too_small();
+    return b;
+  }
+  const std::string unit = lower(token.substr(unit_at));
+  double scale = 0.0;
   if (unit == "k" || unit == "kib")
     scale = 1024.0;
   else if (unit == "m" || unit == "mib")
     scale = 1048576.0;
-  else if (!unit.empty())
-    throw InvalidInput("size '" + token +
-                       "': unknown unit '" + unit + "' (use K/KiB/M/MiB)");
-  const double bytes = v * scale;
-  // >= 1 (not > 0): a sub-byte size like "0.5" would truncate to 0 and
-  // only die much later on a message-size assertion.  The upper bound
-  // keeps the cast to Bytes defined.
-  if (!(bytes >= 1.0))
-    throw InvalidInput("size '" + token + "' must be at least one byte");
-  if (bytes > 9.0e18)
-    throw InvalidInput("size '" + token + "' is out of range");
+  else
+    throw InvalidInput("size '" + token + "': unknown unit '" + unit +
+                       "' (use K/KiB/M/MiB)");
+  const double bytes = parse_decimal(token.substr(0, unit_at), "size") * scale;
+  // A sub-byte size like "0.5K" would truncate to 0 and only die much
+  // later on a message-size assertion; the upper bound keeps the cast to
+  // Bytes defined.
+  if (bytes < 1.0) throw too_small();
+  if (bytes >= 0x1p64)
+    throw InvalidInput("size must be below 2^64 bytes, got '" + token + "'");
   return static_cast<Bytes>(bytes);
 }
 
@@ -634,13 +603,12 @@ std::vector<std::size_t> parse_cluster_list(const std::string& value) {
       throw InvalidInput("--clusters: empty token in list '" + value + "'");
     const std::size_t dash = tok.find('-');
     if (dash == std::string::npos) {
-      counts.push_back(
-          static_cast<std::size_t>(parse_u64(tok, "--clusters")));
+      counts.push_back(parse_count<std::size_t>(tok, "--clusters"));
       continue;
     }
     const std::size_t colon = tok.find(':', dash);
-    const std::uint64_t lo = parse_u64(tok.substr(0, dash), "--clusters");
-    const std::uint64_t hi = parse_u64(
+    const std::uint64_t lo = parse_count(tok.substr(0, dash), "--clusters");
+    const std::uint64_t hi = parse_count(
         tok.substr(dash + 1,
                    colon == std::string::npos ? std::string::npos
                                               : colon - dash - 1),
@@ -648,7 +616,7 @@ std::vector<std::size_t> parse_cluster_list(const std::string& value) {
     const std::uint64_t step =
         colon == std::string::npos
             ? 1
-            : parse_u64(tok.substr(colon + 1), "--clusters");
+            : parse_count(tok.substr(colon + 1), "--clusters");
     if (step == 0)
       throw InvalidInput("--clusters: range '" + tok + "' has step 0");
     if (hi < lo)
@@ -679,16 +647,6 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
   bool verb_seen = false;
   bool completion_seen = false;
 
-  const auto value_of = [](const std::string& arg) {
-    const std::size_t eq = arg.find('=');
-    // Without this check a bare `--out` would wrap to substr(0) and
-    // silently use the flag name itself as the value.
-    if (eq == std::string::npos)
-      throw InvalidInput("option '" + arg + "' needs a value: " + arg +
-                         "=...");
-    return arg.substr(eq + 1);
-  };
-
   for (const auto& arg : args) {
     const std::string key = arg.substr(0, arg.find('='));
     if (arg == "--merge") {
@@ -701,7 +659,7 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
       cli.race.cluster_counts = parse_cluster_list(value_of(arg));
     } else if (key == "--iters") {
       iters_seen = true;
-      cli.race.iterations = parse_u64(value_of(arg), "--iters");
+      cli.race.iterations = parse_count(value_of(arg), "--iters");
       if (cli.race.iterations == 0)
         throw InvalidInput("--iters must be >= 1");
     } else if (arg == "--wall") {
@@ -723,16 +681,7 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
       cli.tolerances.throughput_factor = parse_tolerance(
           value_of(arg), "--throughput-tol", /*zero_ok=*/false);
     } else if (key == "--sched") {
-      const std::string v = value_of(arg);
-      if (lower(v) == "all") {
-        cli.spec.sched_names.clear();  // empty = every registered entry
-      } else {
-        for (auto& name : split_csv(v)) {
-          if (name.empty())
-            throw InvalidInput("--sched: empty name in list '" + v + "'");
-          cli.spec.sched_names.push_back(std::move(name));
-        }
-      }
+      add_sched_names(value_of(arg), cli.spec.sched_names);
     } else if (key == "--sizes") {
       sizes_seen = true;
       const std::string v = value_of(arg);
@@ -750,7 +699,7 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
       grid_seen = true;
       cli.grid_arg = value_of(arg);
     } else if (key == "--root") {
-      cli.spec.root = parse_cluster_id(value_of(arg), "--root");
+      cli.spec.root = parse_count<ClusterId>(value_of(arg), "--root");
     } else if (key == "--backend") {
       // resolve() throws at parse time for typos, listing what is
       // registered, and stores the canonical name ("measured" -> "sim").
@@ -759,18 +708,10 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
       cli.action = RaceCli::Action::kListBackends;
     } else if (key == "--completion") {
       completion_seen = true;
-      const std::string v = lower(value_of(arg));
-      if (v == "eager")
-        cli.spec.completion = sched::CompletionModel::kEager;
-      else if (v == "after-last-send")
-        cli.spec.completion = sched::CompletionModel::kAfterLastSend;
-      else
-        throw InvalidInput(
-            "--completion must be 'eager' or 'after-last-send', got '" +
-            value_of(arg) + "'");
+      cli.spec.completion = parse_completion(value_of(arg));
     } else if (key == "--jitter") {
       const std::string v = value_of(arg);
-      cli.spec.jitter = parse_double(v, "--jitter");
+      cli.spec.jitter = parse_decimal(v, "--jitter");
       if (!sim::JitterConfig{cli.spec.jitter}.valid()) {
         std::ostringstream msg;
         msg << "--jitter must be in [0, " << sim::JitterConfig::kMaxFrac
@@ -778,39 +719,40 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
         throw InvalidInput(msg.str());
       }
     } else if (key == "--seed") {
-      cli.spec.seed = parse_u64(value_of(arg), "--seed");
+      cli.spec.seed = parse_count(value_of(arg), "--seed");
     } else if (key == "--threads") {
-      cli.threads =
-          static_cast<std::size_t>(parse_u64(value_of(arg), "--threads"));
+      cli.threads = parse_count<std::size_t>(value_of(arg), "--threads");
     } else if (key == "--shards") {
       cli.spec.shard.shards =
-          static_cast<std::size_t>(parse_u64(value_of(arg), "--shards"));
+          parse_count<std::size_t>(value_of(arg), "--shards");
       shards_seen = true;
     } else if (key == "--shard") {
-      const std::string v = value_of(arg);
       // Accept `k` or the self-describing `k/N` form.
-      if (const auto slash = v.find('/'); slash != std::string::npos) {
-        cli.spec.shard.shard = static_cast<std::size_t>(
-            parse_u64(v.substr(0, slash), "--shard"));
-        shard_pair_count = static_cast<std::size_t>(
-            parse_u64(v.substr(slash + 1), "--shard"));
+      const std::string v = value_of(arg);
+      const std::size_t slash = v.find('/');
+      cli.spec.shard.shard =
+          parse_count<std::size_t>(v.substr(0, slash), "--shard");
+      if (slash != std::string::npos) {
+        shard_pair_count =
+            parse_count<std::size_t>(v.substr(slash + 1), "--shard");
         // 0 is the "no k/N form seen" sentinel below; reject it here
         // instead of silently degrading to an unsharded run.
         if (shard_pair_count == 0)
           throw InvalidInput("--shard=k/N: shard count N must be >= 1");
-      } else {
-        cli.spec.shard.shard =
-            static_cast<std::size_t>(parse_u64(v, "--shard"));
       }
     } else if (key == "--out") {
       cli.out_path = value_of(arg);
     } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
-      throw InvalidInput("unknown option '" + arg + "'\n" + race_cli_usage());
+      throw InvalidInput("unknown option '" + arg + "' (see --help)");
     } else {
       positionals.push_back(arg);
     }
   }
 
+  // Only --merge takes positional arguments (its output and inputs).
+  if (cli.action != RaceCli::Action::kMerge && !positionals.empty())
+    throw InvalidInput("unexpected argument '" + positionals.front() +
+                       "' (see --help)");
   if (shard_pair_count != 0) {
     if (shards_seen && cli.spec.shard.shards != shard_pair_count)
       throw InvalidInput("--shard=k/N disagrees with --shards");
@@ -847,9 +789,6 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
     cli.race.options.completion = cli.spec.completion;
     cli.race.jitter = cli.spec.jitter;
     cli.race.shard = cli.spec.shard;
-    if (!positionals.empty())
-      throw InvalidInput("unexpected argument '" + positionals.front() +
-                         "'\n" + race_cli_usage());
     cli.race.shard.validate();
     return cli;
   }
@@ -874,29 +813,51 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
     case RaceCli::Action::kCheck:
       if (cli.baseline_path.empty())
         throw InvalidInput("--check needs --baseline=<baseline.json>");
-      if (!positionals.empty())
-        throw InvalidInput("unexpected argument '" + positionals.front() +
-                           "'");
       break;
     case RaceCli::Action::kRun:
-      if (!positionals.empty())
-        throw InvalidInput("unexpected argument '" + positionals.front() +
-                           "'\n" + race_cli_usage());
       cli.spec.shard.validate();
       refuse_sharded_timing(cli.spec);
       break;
-    case RaceCli::Action::kRace:
-      break;  // validated and returned above
+    case RaceCli::Action::kRace:  // validated and returned above
     case RaceCli::Action::kListBackends:
-      if (!positionals.empty())
-        throw InvalidInput("unexpected argument '" + positionals.front() +
-                           "'");
       break;
   }
   return cli;
 }
 
-namespace {
+std::string value_of(const std::string& arg) {
+  const std::size_t eq = arg.find('=');
+  // A bare `--out` must not fall back to a default, nor `--out=` name the
+  // empty path.
+  if (eq == std::string::npos || eq + 1 == arg.size()) {
+    const std::string flag = arg.substr(0, eq);
+    throw InvalidInput("option '" + flag + "' needs a value: " + flag +
+                       "=...");
+  }
+  return arg.substr(eq + 1);
+}
+
+void add_sched_names(const std::string& value,
+                     std::vector<std::string>& names) {
+  if (lower(value) == "all") {
+    names.clear();  // empty = every registered entry
+    return;
+  }
+  for (auto& name : split_csv(value)) {
+    if (name.empty())
+      throw InvalidInput("--sched: empty name in list '" + value + "'");
+    names.push_back(std::move(name));
+  }
+}
+
+sched::CompletionModel parse_completion(const std::string& value) {
+  const std::string v = lower(value);
+  if (v == "eager") return sched::CompletionModel::kEager;
+  if (v == "after-last-send") return sched::CompletionModel::kAfterLastSend;
+  throw InvalidInput(
+      "--completion must be 'eager' or 'after-last-send', got '" + value +
+      "'");
+}
 
 topology::Grid load_grid(const std::string& grid_arg,
                          std::string& grid_name) {
@@ -912,11 +873,15 @@ topology::Grid load_grid(const std::string& grid_arg,
   return io::read_grid(in);
 }
 
+namespace {
+
 io::BenchReport read_report_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw InvalidInput("cannot open '" + path + "'");
   return io::read_bench_json(in);
 }
+
+}  // namespace
 
 void write_report(const io::BenchReport& r, const std::string& path,
                   std::ostream& fallback) {
@@ -928,8 +893,6 @@ void write_report(const io::BenchReport& r, const std::string& path,
   if (!out) throw InvalidInput("cannot open '" + path + "' for writing");
   io::write_bench_json(out, r);
 }
-
-}  // namespace
 
 int run_race_cli(const RaceCli& cli, std::ostream& out, std::ostream& err) {
   switch (cli.action) {

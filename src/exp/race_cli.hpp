@@ -203,20 +203,34 @@ struct RaceCli {
 [[nodiscard]] std::vector<std::size_t> parse_cluster_list(
     const std::string& value);
 
-/// Parse a plain decimal count: digits only, no sign, space or suffix, and
-/// no value past 2^64 - 1.  Throws InvalidInput naming `what` (the flag).
-[[nodiscard]] std::uint64_t parse_u64(const std::string& token,
-                                      const char* what);
-
-/// Parse a whole token as a decimal number (`std::from_chars`: no leading
-/// space or `+`, no hex float, nothing out of double range; `inf` and `nan`
-/// parse, so callers check the range they need).  Throws InvalidInput
-/// naming `what` (the flag).
-[[nodiscard]] double parse_double(const std::string& token, const char* what);
-
-/// Parse a size token: plain bytes ("262144") or a K/KiB/M/MiB-suffixed
-/// decimal ("256K", "4.25MiB", case-insensitive).
+/// Parse a size token: plain bytes, a count ("262144"), or a K/KiB/M/MiB-
+/// suffixed decimal ("256K", "4.25MiB", case-insensitive); either way at
+/// least one byte.
 [[nodiscard]] Bytes parse_size(const std::string& token);
+
+// The flag spellings gridcast_race and gridcast_serve share.
+
+/// The value of a `--flag=value` argument; a missing or empty value throws
+/// InvalidInput.
+[[nodiscard]] std::string value_of(const std::string& arg);
+
+/// Apply one `--sched` value to `names`: "all" (any case) clears the list,
+/// which then means every registered scheduler; otherwise each
+/// comma-separated name is appended, and an empty one is refused.
+void add_sched_names(const std::string& value, std::vector<std::string>& names);
+
+/// A `--completion` value: "eager" or "after-last-send", any case.
+[[nodiscard]] sched::CompletionModel parse_completion(const std::string& value);
+
+/// A `--grid` value: "grid5000" (any case) is the built-in Table 3
+/// testbed, anything else a grid file.  `grid_name` receives the name
+/// reports record.
+[[nodiscard]] topology::Grid load_grid(const std::string& grid_arg,
+                                       std::string& grid_name);
+
+/// Write `r` to the file `path`, or to `fallback` when `path` is empty.
+void write_report(const io::BenchReport& r, const std::string& path,
+                  std::ostream& fallback);
 
 /// Execute a parsed invocation end to end (grid loading, racing, merging,
 /// or the baseline gate).  Reports go to `out_path` or `out`; diagnostics

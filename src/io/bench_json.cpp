@@ -5,7 +5,6 @@
 #include <cmath>
 #include <concepts>
 #include <cstdio>
-#include <cstdlib>
 #include <initializer_list>
 #include <limits>
 #include <ostream>
@@ -17,6 +16,7 @@
 #include "collective/verb.hpp"
 #include "support/contracts.hpp"
 #include "support/error.hpp"
+#include "support/parse.hpp"
 
 namespace gridcast::io {
 
@@ -131,29 +131,15 @@ class JsonReader {
       out = std::numeric_limits<double>::quiet_NaN();
       return;
     }
-    const std::string tok = token(what);
-    char* end = nullptr;
-    out = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size()) fail("malformed number '" + tok + "'");
+    out = number(what, parse_decimal);
   }
 
+  /// A count, exact to 2^64 - 1 (full-width RNG seeds) and refused, not
+  /// truncated, above a narrower field's range (a cluster id).
   template <std::unsigned_integral T>
   void read(const char* what, T& out) {
-    // Parse the token itself: going through a double would silently round
-    // integers above 2^53 (e.g. full-width RNG seeds).
     skip_ws();
-    const std::string tok = token(what);
-    std::uint64_t x = 0;
-    const auto [ptr, ec] =
-        std::from_chars(tok.data(), tok.data() + tok.size(), x);
-    if (ec != std::errc{} || ptr != tok.data() + tok.size())
-      fail(std::string("'") + what + "' is not a non-negative 64-bit integer");
-    // A value above a narrower field's range (a cluster id) is rejected,
-    // not truncated onto another value.
-    if (x > std::numeric_limits<T>::max())
-      fail(std::string("'") + what + "' is out of range (max " +
-           std::to_string(std::numeric_limits<T>::max()) + ")");
-    out = static_cast<T>(x);
+    out = number(what, parse_count<T>);
   }
 
   /// A series: its name and channels (read with the grammar below).
@@ -241,6 +227,7 @@ class JsonReader {
           const char* digits = text_.data() + pos_;
           const char* end =
               digits + std::min<std::size_t>(4, text_.size() - pos_);
+          // gridcast-lint: allow(number-parse) -- hex digits, not a number
           if (std::from_chars(digits, end, code, 16).ptr != digits + 4 ||
               code >= 0x80)
             fail("bad \\u escape");
@@ -254,13 +241,19 @@ class JsonReader {
     }
   }
 
-  /// A number's token: signs, digits, '.' and exponents.
-  std::string token(const char* what) {
+  /// A number's token (signs, digits, '.' and exponents) read by
+  /// `parse`, with any refusal placed at its offset.
+  template <typename T>
+  T number(const char* what, T (*parse)(std::string_view, std::string_view)) {
     const std::size_t start = pos_;
     pos_ = std::min(text_.find_first_not_of("+-.0123456789Ee", pos_),
                     text_.size());
     if (pos_ == start) wrong_type(what);
-    return std::string(text_.substr(start, pos_ - start));
+    try {
+      return parse(text_.substr(start, pos_ - start), what);
+    } catch (const InvalidInput& e) {
+      fail(e.what());
+    }
   }
 
   std::string_view text_;

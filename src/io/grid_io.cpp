@@ -1,20 +1,20 @@
 #include "io/grid_io.hpp"
 
-#include <cmath>
 #include <iomanip>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
 
 #include "support/error.hpp"
+#include "support/parse.hpp"
 
 namespace gridcast::io {
 
 namespace {
 
-/// Token reader skipping '#' comments.
+/// Token reader skipping '#' comments.  Numbers are read from its words
+/// by support/parse.
 class Lexer {
  public:
   explicit Lexer(std::istream& is) : is_(is) {}
@@ -39,49 +39,6 @@ class Lexer {
       throw InvalidInput("expected '" + literal + "', got '" + t + "'");
   }
 
-  double number(const char* what) {
-    const std::string t = word(what);
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(t, &used);
-    } catch (const std::exception&) {
-      throw InvalidInput(std::string("expected number for ") + what +
-                         ", got '" + t + "'");
-    }
-    if (used != t.size())
-      throw InvalidInput(std::string("trailing junk in number for ") + what +
-                         ": '" + t + "'");
-    // std::stod accepts inf, infinity and nan; no field of the format can
-    // hold one.
-    if (!std::isfinite(v))
-      throw InvalidInput(std::string(what) + " must be finite, got '" + t +
-                         "'");
-    return v;
-  }
-
-  std::uint64_t count(const char* what) {
-    const double v = number(what);
-    // Range first: casting 2^64 or more to an integer is undefined.
-    if (!(v >= 0.0 && v < 0x1p64) ||
-        v != static_cast<double>(static_cast<std::uint64_t>(v)))
-      throw InvalidInput(std::string(what) +
-                         " must be a non-negative integer");
-    return static_cast<std::uint64_t>(v);
-  }
-
-  /// count() for a field held in 32 bits (cluster counts and sizes): a
-  /// larger value is rejected, not truncated.
-  std::uint32_t count32(const char* what) {
-    const std::uint64_t v = count(what);
-    constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
-    if (v > kMax)
-      throw InvalidInput(std::string(what) + " " + std::to_string(v) +
-                         " is out of range (max " + std::to_string(kMax) +
-                         ")");
-    return static_cast<std::uint32_t>(v);
-  }
-
  private:
   std::istream& is_;
 };
@@ -94,13 +51,15 @@ void write_fn(std::ostream& os, const plogp::GapFunction& f) {
 
 plogp::GapFunction read_fn(Lexer& lex) {
   lex.expect("fn");
-  const auto k = lex.count("sample count");
+  const auto k = parse_count(lex.word("sample count"), "sample count");
   if (k == 0) throw InvalidInput("gap function needs at least one sample");
+  // Not reserved up front: k is untrusted.
   std::vector<plogp::GapFunction::Sample> samples;
-  samples.reserve(k);
   for (std::uint64_t i = 0; i < k; ++i) {
-    const auto size = lex.count("sample size");
-    const double value = lex.number("sample value");
+    const auto size =
+        parse_count<Bytes>(lex.word("sample size"), "sample size");
+    const double value =
+        parse_decimal(lex.word("sample value"), "sample value");
     if (value < 0.0) throw InvalidInput("negative gap sample");
     samples.emplace_back(size, value);
   }
@@ -121,7 +80,7 @@ void write_params(std::ostream& os, const plogp::Params& p) {
 plogp::Params read_params(Lexer& lex) {
   lex.expect("params");
   plogp::Params p;
-  p.L = lex.number("latency");
+  p.L = parse_decimal(lex.word("latency"), "latency");
   p.g = read_fn(lex);
   p.os = read_fn(lex);
   p.orecv = read_fn(lex);
@@ -135,7 +94,8 @@ plogp::Params read_params(Lexer& lex) {
 }
 
 /// read_params, naming the record in any error it raises: a grid has
-/// n(n-1) links, and a bare "latency must be finite" fits them all.
+/// n(n-1) links, and a bare "latency must be a finite decimal number, got
+/// 'inf'" fits them all.
 plogp::Params read_record_params(Lexer& lex, const std::string& record) {
   try {
     return read_params(lex);
@@ -183,7 +143,8 @@ topology::Grid read_grid(std::istream& is) {
   lex.expect("gridcast-grid");
   lex.expect("v1");
   lex.expect("clusters");
-  const auto n = lex.count32("cluster count");
+  const auto n =
+      parse_count<std::uint32_t>(lex.word("cluster count"), "cluster count");
   if (n == 0) throw InvalidInput("grid needs at least one cluster");
 
   // Not reserved up front: n is untrusted, and every cluster it promises
@@ -192,7 +153,8 @@ topology::Grid read_grid(std::istream& is) {
   for (std::uint64_t c = 0; c < n; ++c) {
     lex.expect("cluster");
     const std::string name = lex.word("cluster name");
-    const auto size = lex.count32("cluster size");
+    const auto size =
+        parse_count<std::uint32_t>(lex.word("cluster size"), "cluster size");
     if (size == 0) throw InvalidInput("cluster size must be positive");
     const auto algorithm = algorithm_from_name(lex.word("intra algorithm"));
     plogp::Params intra = read_record_params(
@@ -204,11 +166,13 @@ topology::Grid read_grid(std::istream& is) {
   for (std::string tok = lex.word("link or end"); tok != "end";
        tok = lex.word("link or end")) {
     if (tok != "link") throw InvalidInput("expected 'link', got '" + tok + "'");
-    const auto from = lex.count("link source");
-    const auto to = lex.count("link target");
+    const auto from =
+        parse_count<ClusterId>(lex.word("link source"), "link source");
+    const auto to =
+        parse_count<ClusterId>(lex.word("link target"), "link target");
     if (from >= n || to >= n || from == to)
       throw InvalidInput("bad link endpoints");
-    grid.set_link(static_cast<ClusterId>(from), static_cast<ClusterId>(to),
+    grid.set_link(from, to,
                   read_record_params(lex, "link " + std::to_string(from) +
                                               " -> " + std::to_string(to)));
   }

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <istream>
@@ -14,6 +13,7 @@
 #include "exp/race_cli.hpp"
 #include "sched/order_memo.hpp"
 #include "support/error.hpp"
+#include "support/parse.hpp"
 
 namespace gridcast::serve {
 
@@ -33,15 +33,6 @@ std::vector<std::string> tokens_of(std::string_view line) {
   std::istringstream in{std::string(line)};
   for (std::string tok; in >> tok;) out.push_back(std::move(tok));
   return out;
-}
-
-ClusterId parse_root(const std::string& token) {
-  ClusterId root = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), root);
-  if (ec != std::errc{} || ptr != token.data() + token.size())
-    throw InvalidInput("malformed root cluster '" + token + "'");
-  return root;
 }
 
 }  // namespace
@@ -170,7 +161,7 @@ LineCommand parse_command(std::string_view line) {
       throw InvalidInput("usage: plan <verb> <root> <size>");
     return {.kind = LineCommand::Kind::kPlan,
             .plan = ReplayRequest{collective::to_verb(toks[1]),
-                                  parse_root(toks[2]),
+                                  parse_count<ClusterId>(toks[2], "root"),
                                   exp::parse_size(toks[3])}};
   }
   throw InvalidInput("unknown command '" + toks[0] +
@@ -242,15 +233,12 @@ std::vector<ReplayRequest> parse_request_log(std::istream& in) {
   std::size_t lineno = 0;
   for (std::string line; std::getline(in, line);) {
     ++lineno;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
     try {
-      const std::vector<std::string> toks = tokens_of(line);
-      if (toks.size() != 4 || toks[0] != "plan")
+      const LineCommand cmd = parse_command(line);
+      if (cmd.kind == LineCommand::Kind::kPlan)
+        out.push_back(cmd.plan);
+      else if (cmd.kind != LineCommand::Kind::kNone)
         throw InvalidInput("expected 'plan <verb> <root> <size>'");
-      out.push_back(ReplayRequest{collective::to_verb(toks[1]),
-                                  parse_root(toks[2]),
-                                  exp::parse_size(toks[3])});
     } catch (const InvalidInput& e) {
       throw InvalidInput("request log line " + std::to_string(lineno) + ": " +
                          e.what());

@@ -262,11 +262,18 @@ void SocketServer::session_loop(Session& session) {
       break;
     }
     buf.append(chunk, static_cast<std::size_t>(n));
-    for (std::size_t nl = buf.find('\n'); nl != std::string::npos;
+    for (std::size_t nl = buf.find('\n'); nl <= kMaxLineBytes && !quit;
          nl = buf.find('\n')) {
       const std::string line = buf.substr(0, nl);
       buf.erase(0, nl + 1);
-      if ((quit = dispatch(line))) break;
+      quit = dispatch(line);
+    }
+    // Left unread, the first line in `buf` is over the cap, whether or
+    // not its newline has arrived.
+    if (!quit && buf.size() > kMaxLineBytes) {
+      send_reply("error: request line longer than " +
+                 std::to_string(kMaxLineBytes) + " bytes");
+      break;
     }
   }
 

@@ -28,7 +28,10 @@
 ///    request (`plan verb=... root=... size=...`), so a hit overtaking
 ///    an earlier miss's reply is unambiguous; miss replies within a
 ///    session stay in request order; `quit` drains the pending misses,
-///    answers `bye` last, and closes.
+///    answers `bye` last, and closes;
+///  * a line longer than `SocketServer::kMaxLineBytes` gets one `error:`
+///    reply and closes its session, so a client that never sends a
+///    newline cannot grow the daemon.
 namespace gridcast::serve {
 
 struct SocketServerOptions {
@@ -44,6 +47,10 @@ struct SocketServerOptions {
 
 class SocketServer {
  public:
+  /// The longest request line a session buffers, newline excluded; the
+  /// longest valid request is under 100 bytes.
+  static constexpr std::size_t kMaxLineBytes = 4096;
+
   /// `service` must outlive the server.
   explicit SocketServer(PlanService& service, SocketServerOptions opts = {});
   ~SocketServer();

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cstdlib>
 
 #include "support/error.hpp"
+#include "support/parse.hpp"
 #include "support/thread_pool.hpp"
 
 namespace gridcast {
@@ -18,15 +18,7 @@ std::optional<std::string> env_str(const char* name) {
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const auto s = env_str(name);
-  if (!s) return fallback;
-  std::uint64_t out = 0;
-  const char* begin = s->data();
-  const char* end = begin + s->size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  if (ec != std::errc{} || ptr != end)
-    throw InvalidInput(std::string(name) + " is not an unsigned integer: '" +
-                       *s + "'");
-  return out;
+  return s ? parse_count(*s, name) : fallback;
 }
 
 bool env_bool(const char* name, bool fallback) {
@@ -43,6 +35,8 @@ bool env_bool(const char* name, bool fallback) {
 BenchOptions BenchOptions::from_env(std::uint64_t default_iters) {
   BenchOptions o;
   o.iterations = env_u64("GRIDCAST_ITERS", default_iters);
+  if (o.iterations == 0)
+    throw InvalidInput("GRIDCAST_ITERS must be >= 1, got '0'");
   o.seed = env_u64("GRIDCAST_SEED", 42);
   o.threads = static_cast<std::size_t>(env_u64(
       "GRIDCAST_THREADS",

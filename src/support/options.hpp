@@ -15,9 +15,9 @@ namespace gridcast {
 /// Read an environment variable; empty optional when unset or empty.
 [[nodiscard]] std::optional<std::string> env_str(const char* name);
 
-/// Read an integer environment variable; `fallback` when unset/malformed-
-/// free parse is required: a malformed value throws InvalidInput so typos
-/// never silently fall back.
+/// Read a count environment variable (support/parse rules); `fallback`
+/// when unset or empty.  A malformed value throws InvalidInput, so a typo
+/// never silently falls back.
 [[nodiscard]] std::uint64_t env_u64(const char* name, std::uint64_t fallback);
 
 /// Read a boolean env var ("1"/"true"/"yes" → true, "0"/"false"/"no" →
@@ -33,6 +33,7 @@ struct BenchOptions {
 
   /// Resolve from the GRIDCAST_* environment with the given default
   /// iteration count (figures differ: Fig. 1 is cheap, Fig. 4 is not).
+  /// Throws InvalidInput for a malformed value or GRIDCAST_ITERS=0.
   [[nodiscard]] static BenchOptions from_env(std::uint64_t default_iters);
 };
 

@@ -143,24 +143,31 @@ TEST(RaceCliParse, CheckNeedsBaseline) {
   EXPECT_THROW((void)parse_race_cli({"--check=cur.json"}), InvalidInput);
 }
 
+/// The InvalidInput message parse_race_cli refuses `args` with.
+std::string parse_refusal(const std::vector<std::string>& args) {
+  try {
+    (void)parse_race_cli(args);
+  } catch (const InvalidInput& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
 TEST(RaceCliParse, CheckTolerancesCannotSwitchTheGateOff) {
   // An infinite, NaN or negative tolerance (or a zero slack factor) would
   // let any drift pass; each gets a one-line diagnostic instead.
-  for (const std::string bad : {"--rtol=-1", "--rtol=inf", "--rtol=nan",
-                                "--wall-tol=0", "--wall-tol=-1",
-                                "--wall-tol=inf", "--throughput-tol=0",
-                                "--throughput-tol=-1", "--throughput-tol=inf",
-                                "--throughput-tol=nan"}) {
-    try {
-      (void)parse_race_cli({"--check=c.json", "--baseline=b.json", bad});
-      ADD_FAILURE() << bad << " was accepted";
-    } catch (const InvalidInput& e) {
-      EXPECT_NE(std::string(e.what()).find("must be finite"),
-                std::string::npos)
-          << bad;
-      EXPECT_EQ(std::string(e.what()).find('\n'), std::string::npos) << bad;
-    }
-  }
+  const auto refusal = [](const std::string& arg) {
+    return parse_refusal({"--check=c.json", "--baseline=b.json", arg});
+  };
+  for (const std::string flag : {"--rtol", "--wall-tol", "--throughput-tol"})
+    for (const std::string bad : {"inf", "nan"})
+      EXPECT_EQ(refusal(flag + "=" + bad),
+                flag + " must be a finite decimal number, got '" + bad + "'");
+  EXPECT_EQ(refusal("--rtol=-1"), "--rtol must be >= 0, got '-1'");
+  for (const std::string flag : {"--wall-tol", "--throughput-tol"})
+    for (const std::string bad : {"0", "-1"})
+      EXPECT_EQ(refusal(flag + "=" + bad),
+                flag + " must be > 0, got '" + bad + "'");
   const RaceCli cli =
       parse_race_cli({"--check=c.json", "--baseline=b.json", "--rtol=0",
                       "--wall-tol=25", "--throughput-tol=0.5"});
@@ -182,41 +189,47 @@ TEST(RaceCliParse, SizeUnits) {
   // Sub-byte sizes would truncate to 0; huge ones would overflow the cast.
   EXPECT_THROW((void)parse_size("0.5"), InvalidInput);
   EXPECT_THROW((void)parse_size("99999999999999999999999"), InvalidInput);
+  // Plain bytes are a count: exact past 2^53, and whole.
+  EXPECT_EQ(parse_size("9007199254740993"), Bytes{9007199254740993});
+  EXPECT_THROW((void)parse_size("1.5"), InvalidInput);
 }
 
 TEST(RaceCliParse, NumbersAreDecimalOnly) {
-  EXPECT_EQ(parse_double("0.05", "--jitter"), 0.05);
-  EXPECT_EQ(parse_double(".5", "--jitter"), 0.5);
-  EXPECT_EQ(parse_double("1e-3", "--rtol"), 1e-3);
+  EXPECT_EQ(parse_race_cli({"--jitter=0.05"}).spec.jitter, 0.05);
+  EXPECT_EQ(parse_race_cli({"--jitter=.25"}).spec.jitter, 0.25);
+  EXPECT_EQ(parse_race_cli({"--check=c.json", "--baseline=b.json",
+                            "--rtol=1e-3"})
+                .tolerances.makespan_rtol,
+            1e-3);
   // Leading space, hex floats, a leading '+' and values past the double
   // range all get the one-line diagnostic.
-  for (const std::string bad :
-       {" 0.05", "0x1p-4", "+0.05", "1e400", "", "0.05 "}) {
-    try {
-      (void)parse_double(bad, "--jitter");
-      ADD_FAILURE() << "accepted '" << bad << "'";
-    } catch (const InvalidInput& e) {
-      EXPECT_EQ(std::string(e.what()),
-                "--jitter: '" + bad + "' is not a number");
-    }
-  }
-  EXPECT_THROW((void)parse_race_cli({"--jitter= 0.05"}), InvalidInput);
+  for (const std::string bad : {" 0.05", "0x1p-4", "+0.05", "1e400", "0.05 "})
+    EXPECT_EQ(parse_refusal({"--jitter=" + bad}),
+              "--jitter must be a finite decimal number, got '" + bad + "'");
+  EXPECT_EQ(parse_refusal({"--jitter="}),
+            "option '--jitter' needs a value: --jitter=...");
 }
 
 TEST(RaceCliParse, CountsAreDigitsOnly) {
-  EXPECT_EQ(parse_u64("0", "--n"), 0u);
-  EXPECT_EQ(parse_u64("18446744073709551615", "--n"),
+  EXPECT_EQ(parse_race_cli({"--seed=0"}).spec.seed, 0u);
+  EXPECT_EQ(parse_race_cli({"--seed=18446744073709551615"}).spec.seed,
             std::numeric_limits<std::uint64_t>::max());
   for (const std::string bad :
-       {"-1", "+2", " 2", "2 ", "", "18446744073709551616"}) {
-    try {
-      (void)parse_u64(bad, "--threads");
-      ADD_FAILURE() << "accepted '" << bad << "'";
-    } catch (const InvalidInput& e) {
-      EXPECT_EQ(std::string(e.what()),
-                "--threads: '" + bad + "' is not a non-negative integer");
-    }
-  }
+       {"-1", "+2", " 2", "2 ", "1e3", "18446744073709551616"})
+    EXPECT_EQ(parse_refusal({"--threads=" + bad}),
+              "--threads must be a decimal integer in [0, "
+              "18446744073709551615], got '" + bad + "'");
+}
+
+TEST(RaceCliParse, StrayArgumentsAreOneLine) {
+  EXPECT_EQ(parse_refusal({"--foo"}), "unknown option '--foo' (see --help)");
+  for (const auto& args :
+       {std::vector<std::string>{"--sched=ECEF", "stray"},
+        std::vector<std::string>{"--race", "stray"},
+        std::vector<std::string>{"--list-backends", "stray"},
+        std::vector<std::string>{"--check=c.json", "--baseline=b.json",
+                                 "stray"}})
+    EXPECT_EQ(parse_refusal(args), "unexpected argument 'stray' (see --help)");
 }
 
 // ------------------------------------------------------------- resolution
@@ -831,8 +844,8 @@ TEST(RaceCliErrors, RootAboveTheClusterIdRangeIsRejectedNotTruncated) {
     EXPECT_EQ(cli_main({"--sched=FlatTree", "--sizes=1M", "--root=" + big},
                        out, err),
               2);
-    EXPECT_EQ(err.str(), "gridcast_race: --root: '" + big +
-                             "' is out of range (max 4294967295)\n");
+    EXPECT_EQ(err.str(), "gridcast_race: --root must be a decimal integer "
+                         "in [0, 4294967295], got '" + big + "'\n");
     EXPECT_EQ(out.str(), "");
   }
 }
@@ -841,7 +854,7 @@ TEST(RaceCliErrors, JitterOutsideItsRangeIsRejectedAtParseTime) {
   // sim::Network asserts jitter in [0, 0.5): a value outside it must be
   // a one-line usage error (exit 2) at parse time, never that assert's
   // internal error (exit 3), in the sweep and the race form alike.
-  for (const std::string v : {"0.5", "0.7", "nan", "-0.1"}) {
+  for (const std::string v : {"0.5", "0.7", "-0.1"}) {
     for (const auto& form :
          {std::vector<std::string>{"--backend=sim", "--sched=FlatTree",
                                    "--sizes=1M"},
@@ -856,6 +869,8 @@ TEST(RaceCliErrors, JitterOutsideItsRangeIsRejectedAtParseTime) {
                            "got '" + v + "'\n");
     }
   }
+  EXPECT_EQ(parse_refusal({"--jitter=nan"}),
+            "--jitter must be a finite decimal number, got 'nan'");
   EXPECT_DOUBLE_EQ(parse_race_cli({"--jitter=0.49"}).spec.jitter, 0.49);
   EXPECT_DOUBLE_EQ(parse_race_cli({"--race", "--jitter=0"}).race.jitter, 0.0);
 }

@@ -134,9 +134,34 @@ TEST(BenchJson, RootAboveTheClusterIdRangeIsRejectedNotTruncated) {
       ADD_FAILURE() << "root " << big << " was accepted";
     } catch (const InvalidInput& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find("'root' is out of range"), std::string::npos)
+      EXPECT_NE(what.find("root must be a decimal integer in [0, "
+                          "4294967295], got '" + big + "'"),
+                std::string::npos)
           << what;
       EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(BenchJson, NumbersAreSpelledAsTheWriterSpellsThem) {
+  // strtod read a '+', and read 1e400 as inf: a baseline wall time of
+  // 1e400 let any wall-time regression through the gate.
+  const std::string text = bench_to_json(small_report());
+  const std::string key = "\"wall_time_s\": 0.125";
+  ASSERT_NE(text.find(key), std::string::npos) << text;
+  for (const std::string bad : {"+0.125", "+2.25", "1e400"}) {
+    std::string edited = text;
+    edited.replace(edited.find(key), key.size(), "\"wall_time_s\": " + bad);
+    try {
+      (void)bench_from_json(edited);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const InvalidInput& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(
+                    "bench JSON: wall_time_s must be a finite decimal "
+                    "number, got '" + bad + "' at offset ",
+                    0),
+                0u)
+          << e.what();
     }
   }
 }

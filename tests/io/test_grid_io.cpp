@@ -58,6 +58,17 @@ TEST(GridIo, RoundTripsRandomGrids) {
   }
 }
 
+TEST(GridIo, WriteReadWriteIsByteIdentical) {
+  Rng rng(16);
+  topology::GeneratorConfig cfg;
+  cfg.clusters = 16;
+  for (const topology::Grid& grid :
+       {topology::grid5000_testbed(), topology::random_grid(cfg, rng)}) {
+    const std::string text = grid_to_string(grid);
+    EXPECT_EQ(grid_to_string(grid_from_string(text)), text);
+  }
+}
+
 TEST(GridIo, AlgorithmSurvivesRoundTrip) {
   topology::Grid a = topology::grid5000_testbed();
   a.cluster(5).set_algorithm(plogp::BcastAlgorithm::kSegmentedChain);
@@ -125,8 +136,8 @@ TEST(GridIo, ClusterSizeAbove32BitsRejectedNotTruncated) {
     std::string bad = text;
     bad.replace(pos, 4, " " + big + " ");
     const std::string diag = rejection(bad);
-    EXPECT_EQ(diag, "cluster size " + big +
-                        " is out of range (max 4294967295)");
+    EXPECT_EQ(diag, "cluster size must be a decimal integer in [0, "
+                    "4294967295], got '" + big + "'");
   }
   std::string widest = text;
   widest.replace(pos, 4, " 4294967295 ");
@@ -137,12 +148,13 @@ TEST(GridIo, HugeClusterCountIsAnInputErrorNotAnAllocation) {
   // The count is untrusted: it must not size an allocation before the
   // clusters it promises have been read.
   EXPECT_EQ(rejection("gridcast-grid v1 clusters 4294967296"),
-            "cluster count 4294967296 is out of range (max 4294967295)");
+            "cluster count must be a decimal integer in [0, 4294967295], "
+            "got '4294967296'");
   EXPECT_EQ(rejection("gridcast-grid v1 clusters 4294967295"),
             "unexpected end of input, expected cluster");
-  // At or above 2^64 the count is not an integer a cast can hold.
   EXPECT_EQ(rejection("gridcast-grid v1 clusters 1e30"),
-            "cluster count must be a non-negative integer");
+            "cluster count must be a decimal integer in [0, 4294967295], "
+            "got '1e30'");
 }
 
 /// A two-cluster grid whose cluster-0 intra latency, link 0->1 latency
@@ -161,18 +173,49 @@ std::string two_cluster_grid(const std::string& intra_latency,
 }
 
 TEST(GridIo, NonFiniteNumbersAreInputErrors) {
-  // std::stod reads all of these; an infinite latency or gap used to pass
-  // validation and kill every heuristic with an internal error.
+  // An infinite latency or gap used to pass validation and kill every
+  // heuristic with an internal error.
   EXPECT_EQ(rejection(two_cluster_grid("1e-05", "0.01", "0.1")), "accepted");
   for (const std::string bad : {"inf", "INF", "infinity", "-inf", "nan"}) {
     SCOPED_TRACE(bad);
+    const std::string got = " must be a finite decimal number, got '" + bad +
+                            "'";
     EXPECT_EQ(rejection(two_cluster_grid(bad, "0.01", "0.1")),
-              "cluster 0 ('a'): latency must be finite, got '" + bad + "'");
+              "cluster 0 ('a'): latency" + got);
     EXPECT_EQ(rejection(two_cluster_grid("1e-05", bad, "0.1")),
-              "link 0 -> 1: latency must be finite, got '" + bad + "'");
+              "link 0 -> 1: latency" + got);
     EXPECT_EQ(rejection(two_cluster_grid("1e-05", "0.01", bad)),
-              "link 0 -> 1: sample value must be finite, got '" + bad + "'");
+              "link 0 -> 1: sample value" + got);
   }
+}
+
+TEST(GridIo, NumbersAreSpelledAsTheWriterSpellsThem) {
+  // std::stod read a hex float, a '+' and an exponent-spelt size, none of
+  // which write_grid emits.
+  for (const std::string bad : {"0x1p-4", "+0.01"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(rejection(two_cluster_grid("1e-05", bad, "0.1")),
+              "link 0 -> 1: latency must be a finite decimal number, got '" +
+                  bad + "'");
+  }
+  std::string text = two_cluster_grid("1e-05", "0.01", "0.1");
+  text.replace(text.find(" 4 "), 3, " 3.1e1 ");
+  EXPECT_EQ(rejection(text),
+            "cluster size must be a decimal integer in [0, 4294967295], "
+            "got '3.1e1'");
+}
+
+TEST(GridIo, SampleSizesAboveTwoToThe53RoundTripExactly) {
+  // Read through a double, 2^53 + 1 came back as 2^53.
+  std::string text = two_cluster_grid("1e-05", "0.01", "0.1");
+  const std::string gap = "fn 1 0 0.1";
+  text.replace(text.find(gap), gap.size(), "fn 2 0 0.1 9007199254740993 0.2");
+  const topology::Grid grid = grid_from_string(text);
+  EXPECT_EQ(grid.link(0, 1).g.samples().back().first, 9007199254740993u);
+  const std::string written = grid_to_string(grid);
+  EXPECT_NE(written.find(" 9007199254740993 "), std::string::npos)
+      << written;
+  EXPECT_EQ(grid_to_string(grid_from_string(written)), written);
 }
 
 TEST(GridIo, ABadLinkIsNamedInTheError) {
@@ -184,7 +227,8 @@ TEST(GridIo, ABadLinkIsNamedInTheError) {
   ASSERT_NE(pos, std::string::npos);
   const auto latency = pos + record.size();
   text.replace(latency, text.find(' ', latency) - latency, "inf");
-  EXPECT_EQ(rejection(text), "link 2 -> 3: latency must be finite, got 'inf'");
+  EXPECT_EQ(rejection(text),
+            "link 2 -> 3: latency must be a finite decimal number, got 'inf'");
 }
 
 }  // namespace

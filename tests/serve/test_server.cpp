@@ -168,13 +168,23 @@ TEST(PlanServiceProtocol, ErrorsKeepTheSessionAlive) {
                                                            0),
             0u);
   EXPECT_EQ(svc.handle_line("plan bcast x 1M").text,
-            "error: malformed root cluster 'x'");
+            "error: root must be a decimal integer in [0, 4294967295], got "
+            "'x'");
   EXPECT_EQ(svc.handle_line("plan bcast 99 1M").text.rfind("error: root "
                                                            "cluster 99",
                                                            0),
             0u);
   // The session still answers after every error above.
   EXPECT_FALSE(svc.handle_line("plan bcast 0 1M").text.empty());
+}
+
+TEST(PlanServiceProtocol, SizesAreReadExactly) {
+  // Read through a double, 2^53 + 1 came back as 2^53.
+  PlanService svc(testbed(), "g5k");
+  const std::string reply =
+      svc.handle_line("plan bcast 0 9007199254740993").text;
+  EXPECT_NE(reply.find(" size=9007199254740993 "), std::string::npos)
+      << reply;
 }
 
 TEST(PlanServiceProtocol, StatsReportTheCaches) {

@@ -316,6 +316,39 @@ TEST(SocketServer, MalformedLinesKeepTheSessionAlive) {
   EXPECT_EQ(replies[2].rfind("plan verb=bcast root=0 size=1048576 ", 0), 0u);
 }
 
+TEST(SocketServer, AnOverlongLineGetsOneErrorThenEof) {
+  // A client that never sends a newline used to grow its session's buffer
+  // without bound.
+  TestDaemon daemon;
+  {
+    Client client(daemon.server->port());
+    const std::string junk(64 * 1024, 'x');
+    // The session may close before the whole write is read; only the
+    // reply matters.
+    for (std::size_t off = 0; off < junk.size();) {
+      const ssize_t w = ::send(client.fd, junk.data() + off,
+                               junk.size() - off, MSG_NOSIGNAL);
+      if (w <= 0) break;
+      off += static_cast<std::size_t>(w);
+    }
+    EXPECT_EQ(client.read_to_eof(),
+              "error: request line longer than 4096 bytes\n");
+  }
+  // The cap is per line: an 8-request batch padded past it in total still
+  // gets 8 replies.
+  Client client(daemon.server->port());
+  std::string batch;
+  for (int i = 1; i <= 8; ++i)
+    batch += "plan bcast 0 " + std::to_string(i) + "M" +
+             std::string(1000, ' ') + "\n";
+  ASSERT_GT(batch.size(), SocketServer::kMaxLineBytes);
+  client.send_all(batch);
+  const auto replies = client.read_lines(8);
+  ASSERT_EQ(replies.size(), 8u);
+  for (const auto& reply : replies)
+    EXPECT_EQ(reply.rfind("plan verb=bcast root=0 size=", 0), 0u) << reply;
+}
+
 TEST(SocketServer, ConcurrentSessionsGetByteCorrectReplies) {
   // The TSan-lane stress: N sessions hammer overlapping signatures at
   // once.  Every reply must be well-formed and — up to the hit/miss

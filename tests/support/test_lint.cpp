@@ -78,6 +78,7 @@ constexpr FailCase kFailCases[] = {
     {"fail_layering_serve", "src/serve/daemon.cpp", 1, "layering"},
     {"fail_layering_sim_serve", "src/sim/feedback.cpp", 1, "layering"},
     {"fail_bad_allow", "src/sched/typo.cpp", 2, "bad-annotation"},
+    {"fail_number_parse", "src/io/latency.cpp", 4, "number-parse"},
 };
 
 class GridcastLintFail : public ::testing::TestWithParam<FailCase> {};

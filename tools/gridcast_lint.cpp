@@ -4,9 +4,9 @@
 // shard counts, thread counts and backends.  The runtime suites verify
 // that claim; this tool *statically* blocks the ways contributors have
 // historically broken it: an unseeded RNG, a wall-clock read in a hot
-// path, a type-erased callback allocating per event, or a report built
-// by iterating an unordered container.  No libclang — the rules are
-// token/regex checks over a comment-stripped view of each file plus a
+// path, a type-erased callback allocating per event, a report built by
+// iterating an unordered container, or a number read by rules of its
+// own.  No libclang — the rules are token/regex checks over a comment-stripped view of each file plus a
 // few include-graph constraints, which is exactly enough for the
 // invariants below and keeps the tool dependency-free and fast.
 //
@@ -88,6 +88,10 @@ constexpr RuleInfo kRules[] = {
      "include-graph: support/ is the base layer and includes nothing "
      "above it; sim/ must not reach into exp/, io/ or serve/; serve/ sits "
      "on top of sched/exp/io and must not reach into sim/ internals"},
+    {"number-parse", "everywhere except src/support/parse.*",
+     "std::sto*, strto*, ato* or <charconv> reads — every number in "
+     "untrusted text goes through support/parse, so one rule set decides "
+     "what is a number and one wording refuses the rest"},
 };
 
 bool rule_exists(std::string_view name) {
@@ -410,6 +414,20 @@ Matches rule_layering(const SourceFile& f) {
   return out;
 }
 
+Matches rule_number_parse(const SourceFile& f) {
+  Matches out;
+  if (under(f.rel, "src/support/parse.")) return out;
+  // Spelt with groups, so a text search for these calls finds only calls.
+  static const std::regex re(
+      R"(\b(sto(i|l|ul|ll|ull|f|d|ld)|strto(l|ul|ll|ull|f|d|ld|imax|umax))"
+      R"(|ato(i|l|ll|f)|from_(chars))\s*\()");
+  match_token(f, re,
+              "number read outside support/parse; use parse_count or "
+              "parse_decimal",
+              out);
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 
 bool lintable(const fs::path& p) {
@@ -452,6 +470,7 @@ void lint_file(const SourceFile& f, std::vector<Finding>& findings) {
       {"unordered-iteration", rule_unordered_iteration},
       {"registry-lowercase", rule_registry_lowercase},
       {"layering", rule_layering},
+      {"number-parse", rule_number_parse},
   };
   for (const auto& b : kBound) {
     for (auto& [line, msg] : b.fn(f)) {

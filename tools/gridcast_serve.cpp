@@ -32,17 +32,15 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "exp/race_cli.hpp"
-#include "io/grid_io.hpp"
 #include "serve/server.hpp"
 #include "serve/socket_server.hpp"
 #include "support/error.hpp"
+#include "support/parse.hpp"
 #include "support/thread_pool.hpp"
-#include "topology/grid5000.hpp"
 
 namespace {
 
@@ -104,50 +102,27 @@ struct ServeCliArgs {
   int port = -1;
 };
 
-std::string value_of(const std::string& arg) {
-  const std::size_t eq = arg.find('=');
-  if (eq == std::string::npos || eq + 1 == arg.size())
-    throw InvalidInput("flag '" + arg.substr(0, eq) + "' needs a value");
-  return arg.substr(eq + 1);
-}
-
 ServeCliArgs parse_args(const std::vector<std::string>& args) {
+  using exp::value_of;
   ServeCliArgs cli;
   for (const auto& arg : args) {
     const std::string key = arg.substr(0, arg.find('='));
     if (key == "--grid") {
       cli.grid_arg = value_of(arg);
     } else if (key == "--sched") {
-      const std::string v = value_of(arg);
-      if (v != "all") {
-        std::istringstream in(v);
-        for (std::string name; std::getline(in, name, ',');)
-          if (!name.empty()) cli.service.sched_names.push_back(name);
-      }
+      exp::add_sched_names(value_of(arg), cli.service.sched_names);
     } else if (key == "--completion") {
-      const std::string v = value_of(arg);
-      if (v == "eager")
-        cli.service.completion = sched::CompletionModel::kEager;
-      else if (v == "after-last-send")
-        cli.service.completion = sched::CompletionModel::kAfterLastSend;
-      else
-        throw InvalidInput(
-            "--completion must be 'eager' or 'after-last-send', got '" + v +
-            "'");
+      cli.service.completion = exp::parse_completion(value_of(arg));
     } else if (key == "--capacity") {
-      cli.service.plan_capacity =
-          static_cast<std::size_t>(exp::parse_size(value_of(arg)));
+      cli.service.plan_capacity = exp::parse_size(value_of(arg));
     } else if (key == "--instance-capacity") {
-      cli.service.instance_capacity =
-          static_cast<std::size_t>(exp::parse_size(value_of(arg)));
+      cli.service.instance_capacity = exp::parse_size(value_of(arg));
     } else if (key == "--warm") {
       cli.warm_path = value_of(arg);
     } else if (key == "--threads") {
-      cli.threads =
-          static_cast<std::size_t>(exp::parse_u64(value_of(arg), "--threads"));
+      cli.threads = parse_count<std::size_t>(value_of(arg), "--threads");
     } else if (key == "--batch") {
-      cli.replay.batch =
-          static_cast<std::size_t>(exp::parse_u64(value_of(arg), "--batch"));
+      cli.replay.batch = parse_count<std::size_t>(value_of(arg), "--batch");
       if (cli.replay.batch == 0)
         throw InvalidInput("--batch must be >= 1");
     } else if (key == "--requests") {
@@ -155,8 +130,8 @@ ServeCliArgs parse_args(const std::vector<std::string>& args) {
     } else if (arg == "--replay-report") {
       cli.replay_report = true;
     } else if (key == "--sessions") {
-      cli.replay.sessions = static_cast<std::size_t>(
-          exp::parse_u64(value_of(arg), "--sessions"));
+      cli.replay.sessions =
+          parse_count<std::size_t>(value_of(arg), "--sessions");
       if (cli.replay.sessions == 0)
         throw InvalidInput("--sessions must be >= 1");
     } else if (arg == "--timing") {
@@ -164,11 +139,10 @@ ServeCliArgs parse_args(const std::vector<std::string>& args) {
     } else if (key == "--out") {
       cli.out_path = value_of(arg);
     } else if (key == "--port") {
-      const std::uint64_t p = exp::parse_u64(value_of(arg), "--port");
-      if (p == 0 || p > 65535) throw InvalidInput("--port must be 1..65535");
-      cli.port = static_cast<int>(p);
+      cli.port = parse_count<std::uint16_t>(value_of(arg), "--port");
+      if (cli.port == 0) throw InvalidInput("--port must be >= 1");
     } else {
-      throw InvalidInput("unknown flag '" + arg + "' (see --help)");
+      throw InvalidInput("unknown option '" + arg + "' (see --help)");
     }
   }
   if (cli.requests_path.empty() && (cli.replay_report || cli.replay.timing))
@@ -178,19 +152,6 @@ ServeCliArgs parse_args(const std::vector<std::string>& args) {
   if (!cli.requests_path.empty() && cli.port >= 0)
     throw InvalidInput("--requests and --port are mutually exclusive");
   return cli;
-}
-
-topology::Grid load_grid(const std::string& grid_arg, std::string& grid_name) {
-  if (grid_arg == "grid5000") {
-    grid_name = "grid5000_testbed";
-    return topology::grid5000_testbed();
-  }
-  std::ifstream in(grid_arg);
-  if (!in)
-    throw InvalidInput("cannot open grid file '" + grid_arg +
-                       "' (use --grid=grid5000 for the built-in testbed)");
-  grid_name = grid_arg;
-  return io::read_grid(in);
 }
 
 std::vector<serve::ReplayRequest> load_request_log(const std::string& path) {
@@ -229,16 +190,8 @@ int run_replay(const ServeCliArgs& cli, serve::PlanService& service) {
     return 0;
   }
   ThreadPool pool(cli.threads);
-  const io::BenchReport report =
-      serve::replay_requests(service, requests, pool, cli.replay);
-  if (cli.out_path.empty()) {
-    io::write_bench_json(std::cout, report);
-  } else {
-    std::ofstream out(cli.out_path);
-    if (!out)
-      throw InvalidInput("cannot open '" + cli.out_path + "' for writing");
-    io::write_bench_json(out, report);
-  }
+  exp::write_report(serve::replay_requests(service, requests, pool, cli.replay),
+                    cli.out_path, std::cout);
   return 0;
 }
 
@@ -280,7 +233,7 @@ int main(int argc, char** argv) {
   try {
     const ServeCliArgs cli = parse_args(args);
     std::string grid_name;
-    const topology::Grid grid = load_grid(cli.grid_arg, grid_name);
+    const topology::Grid grid = exp::load_grid(cli.grid_arg, grid_name);
     serve::PlanService service(grid, grid_name, cli.service);
     warm_cache(cli, service);
     if (!cli.requests_path.empty()) return run_replay(cli, service);
