@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/race_cli.hpp"
+#include "exp/race.hpp"
 #include "support/error.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"

@@ -11,7 +11,7 @@
 // best, DefaultLAM in between, FlatTree worst by several times.
 
 #include "common.hpp"
-#include "exp/race_cli.hpp"
+#include "exp/race.hpp"
 #include "sim/network.hpp"
 #include "topology/grid5000.hpp"
 

@@ -18,8 +18,7 @@
 // CMakeLists links `micro_*` stems against the (optional) benchmark
 // library, while this reporter must always build so CI can gate on it.
 //
-// Usage: bench_sim_throughput [--out=FILE] [--min-time=SECONDS]
-//        (default: BENCH_micro.json, 0.2 s per cell)
+// `bench_sim_throughput --help` prints its two flags (--out, --min-time).
 
 #include <algorithm>
 #include <chrono>
@@ -31,11 +30,11 @@
 
 #include "collective/alltoall.hpp"
 #include "collective/scatter.hpp"
-#include "common.hpp"
 #include "io/bench_json.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
 #include "support/error.hpp"
+#include "support/flags.hpp"
 #include "support/parse.hpp"
 #include "topology/grid5000.hpp"
 
@@ -99,34 +98,33 @@ std::uint64_t alltoall_workload(const topology::Grid& grid, Bytes block) {
   return net.messages();
 }
 
-/// --min-time's value: > 0, or it would time one pass (the reader already
-/// refuses `inf`, which would never stop, and `nan`).
-double parse_min_time(const std::string& token) {
-  const double v = parse_decimal(token, "--min-time");
-  if (v <= 0.0)
-    throw InvalidInput("--min-time must be > 0, got '" + token + "'");
-  return v;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace gridcast;
-
+struct ThroughputCli {
   std::string out_path = "BENCH_micro.json";
   double min_time = 0.2;
-  benchx::read_inputs([&] {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--out=", 0) == 0)
-        out_path = arg.substr(6);
-      else if (arg.rfind("--min-time=", 0) == 0)
-        min_time = parse_min_time(arg.substr(11));
-      else
-        throw InvalidInput(
-            "usage: bench_sim_throughput [--out=FILE] [--min-time=SECONDS]");
-    }
-  });
+};
+
+constexpr flags::Mode kModes[] = {{"run", ""}};
+
+// A --min-time must be > 0, or it would time one pass; the reader already
+// refuses `inf`, which would never stop, and `nan`.
+constexpr flags::Flag<ThroughputCli> kFlags[] = {
+    {"--out", "FILE", 1, "the report (default: BENCH_micro.json)",
+     [](auto& f, auto& v) { f.out_path = v; }},
+    {"--min-time", "SECONDS", 1, "time spent per cell (default: 0.2)",
+     [](auto& f, auto& v) {
+       f.min_time = parse_decimal(v, "--min-time");
+       if (f.min_time <= 0.0)
+         throw InvalidInput("--min-time must be > 0, got '" + v + "'");
+     }},
+};
+
+constexpr flags::Tool<ThroughputCli> kTool = {"bench_sim_throughput", kModes,
+                                              kFlags};
+
+int measure(const std::vector<std::string>& args) {
+  ThroughputCli cli;
+  (void)flags::parse(kTool, args, cli);
+  const auto& [out_path, min_time] = cli;
 
   const topology::Grid grid = topology::grid5000_testbed();
   const std::vector<Bytes> scales = {1000, 100000};
@@ -181,4 +179,10 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return flags::run(kTool, argc, argv, std::cout, std::cerr, measure);
 }

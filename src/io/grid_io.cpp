@@ -172,15 +172,20 @@ topology::Grid read_grid(std::istream& is) {
         parse_count<ClusterId>(lex.word("link target"), "link target");
     if (from >= n || to >= n || from == to)
       throw InvalidInput("bad link endpoints");
-    grid.set_link(from, to,
-                  read_record_params(lex, "link " + std::to_string(from) +
-                                              " -> " + std::to_string(to)));
+    const std::string record =
+        "link " + std::to_string(from) + " -> " + std::to_string(to);
+    if (grid.has_link(from, to))
+      throw InvalidInput(record + " is given more than once");
+    grid.set_link(from, to, read_record_params(lex, record));
   }
-  try {
-    grid.validate();
-  } catch (const LogicError& e) {
-    throw InvalidInput(std::string("incomplete grid: ") + e.what());
-  }
+  // Each record was validated as read; what is left is that none is missing.
+  for (ClusterId i = 0; i < n; ++i)
+    for (ClusterId j = 0; j < n; ++j)
+      if (i != j && !grid.has_link(i, j))
+        throw InvalidInput("link " + std::to_string(i) + " -> " +
+                           std::to_string(j) + " ('" +
+                           grid.cluster(i).name() + "' -> '" +
+                           grid.cluster(j).name() + "') is missing");
   return grid;
 }
 

@@ -10,7 +10,7 @@
 #include <thread>
 #include <utility>
 
-#include "exp/race_cli.hpp"
+#include "exp/race.hpp"
 #include "sched/order_memo.hpp"
 #include "support/error.hpp"
 #include "support/parse.hpp"
@@ -162,7 +162,7 @@ LineCommand parse_command(std::string_view line) {
     return {.kind = LineCommand::Kind::kPlan,
             .plan = ReplayRequest{collective::to_verb(toks[1]),
                                   parse_count<ClusterId>(toks[2], "root"),
-                                  exp::parse_size(toks[3])}};
+                                  parse_size(toks[3])}};
   }
   throw InvalidInput("unknown command '" + toks[0] +
                      "' (valid: plan, stats, quit)");

@@ -213,7 +213,7 @@ struct ReplayOptions {
 /// series: it counts the requests that would have waited on an earlier
 /// same-batch requester's in-flight build had the batch run
 /// concurrently (0 at `batch == 1`); every other series is additionally
-/// invariant under `--batch`.  Each distinct signature is built once per
+/// invariant under `batch`.  Each distinct signature is built once per
 /// replay (in parallel across `pool`); `plans_built` reports the builds
 /// the serial cold daemon would have run, which under eviction can
 /// exceed the builds actually executed.  Throws InvalidInput on an

@@ -3,7 +3,10 @@
 #include <concepts>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <string_view>
+
+#include "support/types.hpp"
 
 /// The one reader for numbers in untrusted text: grid files, bench
 /// reports, serve requests, CLI flags and `GRIDCAST_*` variables.
@@ -34,5 +37,10 @@ template <std::unsigned_integral T = std::uint64_t>
 /// values that overflow or underflow a double are refused.
 [[nodiscard]] double parse_decimal(std::string_view token,
                                    std::string_view field);
+
+/// A message size: plain bytes, a count ("262144"), or a K/KiB/M/MiB-
+/// suffixed decimal ("256K", "4.25MiB", case-insensitive); either way at
+/// least one byte.
+[[nodiscard]] Bytes parse_size(const std::string& token);
 
 }  // namespace gridcast

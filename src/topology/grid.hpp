@@ -30,6 +30,9 @@ class Grid {
   /// Set both directions at once (grid links are symmetric in practice).
   void set_link_symmetric(ClusterId a, ClusterId b, plogp::Params p);
   [[nodiscard]] const plogp::Params& link(ClusterId from, ClusterId to) const;
+  [[nodiscard]] bool has_link(ClusterId from, ClusterId to) const {
+    return link_set_(from, to) != 0;
+  }
 
   /// Total machine count across clusters.
   [[nodiscard]] std::uint32_t total_nodes() const noexcept;

@@ -59,8 +59,7 @@ TEST(VerbAxis, CliParsesVerbAndRefusesItInRaceMode) {
   std::ostringstream out, err;
   EXPECT_EQ(cli_main({"--race", "--verb=scatter"}, out, err), 2);
   EXPECT_EQ(err.str(),
-            "gridcast_race: --verb applies to sweep mode; the Monte-Carlo "
-            "race broadcasts by definition\n");
+            "gridcast_race: option '--verb' does not apply to race mode\n");
 }
 
 TEST(VerbAxis, CompletionFlagIsRefusedForNonBcastVerbs) {

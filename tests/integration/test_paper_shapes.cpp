@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exp/race_cli.hpp"
+#include "exp/race.hpp"
 
 namespace gridcast {
 namespace {

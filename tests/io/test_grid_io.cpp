@@ -231,5 +231,27 @@ TEST(GridIo, ABadLinkIsNamedInTheError) {
             "link 2 -> 3: latency must be a finite decimal number, got 'inf'");
 }
 
+TEST(GridIo, ARepeatedLinkIsRefused) {
+  // A second record for one link used to replace the first in silence.
+  std::string text = grid_to_string(topology::grid5000_testbed());
+  const auto pos = text.find("link 1 0 ");
+  ASSERT_NE(pos, std::string::npos);
+  const auto eol = text.find('\n', pos);
+  text.insert(eol + 1, text.substr(pos, eol - pos + 1));
+  EXPECT_EQ(rejection(text), "link 1 -> 0 is given more than once");
+}
+
+TEST(GridIo, AMissingLinkIsNamedAsARecord) {
+  // Named like every other grid error, not as a leaked assertion.
+  const topology::Grid testbed = topology::grid5000_testbed();
+  std::string text = grid_to_string(testbed);
+  const auto pos = text.find("link 1 0 ");
+  ASSERT_NE(pos, std::string::npos);
+  text.erase(pos, text.find('\n', pos) - pos + 1);
+  EXPECT_EQ(rejection(text), "link 1 -> 0 ('" + testbed.cluster(1).name() +
+                                 "' -> '" + testbed.cluster(0).name() +
+                                 "') is missing");
+}
+
 }  // namespace
 }  // namespace gridcast::io

@@ -11,7 +11,7 @@
 
 #include "collective/backends.hpp"
 #include "exp/param_ranges.hpp"
-#include "exp/race_cli.hpp"
+#include "exp/race.hpp"
 #include "sched/auto_scheduler.hpp"
 #include "sched/heuristics.hpp"
 #include "sched/mixed.hpp"

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/race_cli.hpp"
+#include "exp/race.hpp"
 #include "sched/registry.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"

@@ -79,5 +79,23 @@ TEST(Parse, OneStrictReaderForEveryNumber) {
   EXPECT_EQ(parse_decimal("1e-310", "f"), 1e-310);
 }
 
+TEST(Parse, SizeUnits) {
+  EXPECT_EQ(parse_size("262144"), Bytes{262144});
+  EXPECT_EQ(parse_size("256K"), KiB(256));
+  EXPECT_EQ(parse_size("256kib"), KiB(256));
+  EXPECT_EQ(parse_size("4M"), MiB(4));
+  EXPECT_EQ(parse_size("0.5MiB"), KiB(512));
+  EXPECT_EQ(parse_size(".5M"), KiB(512));
+  EXPECT_EQ(parse_size("1.5k"), Bytes{1536});
+  EXPECT_THROW((void)parse_size("MiB"), InvalidInput);
+  EXPECT_THROW((void)parse_size("0K"), InvalidInput);
+  // Sub-byte sizes would truncate to 0; huge ones would overflow the cast.
+  EXPECT_THROW((void)parse_size("0.5"), InvalidInput);
+  EXPECT_THROW((void)parse_size("99999999999999999999999"), InvalidInput);
+  // Plain bytes are a count: exact past 2^53, and whole.
+  EXPECT_EQ(parse_size("9007199254740993"), Bytes{9007199254740993});
+  EXPECT_THROW((void)parse_size("1.5"), InvalidInput);
+}
+
 }  // namespace
 }  // namespace gridcast

@@ -1,33 +1,7 @@
-// gridcast_serve: the long-lived serving front-end over the schedule-plan
-// cache (src/serve).  Speaks a one-line-per-request protocol:
-//
-//     plan <verb> <root> <size>     e.g.  plan bcast 0 4MiB
-//     stats
-//     quit
-//
-// and answers each request with the winning scheduler, its predicted
-// makespan and the plan's cache status.  Three front-ends share one
-// PlanService:
-//
-//   gridcast_serve                          # interactive session on stdin
-//   gridcast_serve --port=7777              # loopback TCP, one thread per
-//                                           # session; SIGINT/SIGTERM stop it
-//   gridcast_serve --requests=FILE          # replay a request log, print
-//                                           # every reply
-//   gridcast_serve --requests=FILE --replay-report [--timing] [--out=F]
-//                                           # replay and emit the
-//                                           # "bench": "serve" BenchReport
-//
-// The replay report is byte-identical across runs, machines, --threads,
-// --sessions and --warm state unless --timing adds the host-dependent
-// series (requests/sec, p50/p99 latency) — the CI serve lane gates that
-// timing run against BENCH_baseline_serve.json via `gridcast_race
-// --check`.  Inside a TCP session, hits answer immediately while misses
-// build asynchronously behind the plan cache's build-once latch.
-//
-// All protocol, cache, socket and replay logic lives in the library
-// (src/serve) where it is unit-tested; this file owns only flags,
-// terminals and signal handling.
+// gridcast_serve: the serving front-end over the schedule-plan cache
+// (src/serve); `gridcast_serve --help` prints its modes and flags.  All
+// protocol, cache, socket and replay logic lives in the library, where it
+// is unit-tested; this file owns only flags, terminals and signals.
 
 #include <csignal>
 #include <fstream>
@@ -39,6 +13,7 @@
 #include "serve/server.hpp"
 #include "serve/socket_server.hpp"
 #include "support/error.hpp"
+#include "support/flags.hpp"
 #include "support/parse.hpp"
 #include "support/thread_pool.hpp"
 
@@ -62,141 +37,81 @@ void install_stop_handlers() {
   ::sigaction(SIGTERM, &sa, nullptr);
 }
 
-std::string usage() {
-  return
-      "usage: gridcast_serve [options]\n"
-      "\n"
-      "Serving daemon over the schedule-plan cache.  Protocol (one line\n"
-      "per request): 'plan <verb> <root> <size>', 'stats', 'quit'.\n"
-      "\n"
-      "  --grid=grid5000|FILE   grid to serve (default: built-in testbed)\n"
-      "  --sched=all|a,b,c      competing schedulers (default: all)\n"
-      "  --completion=MODEL     eager | after-last-send (default: eager)\n"
-      "  --capacity=BYTES       plan-cache bound, e.g. 64M (default: "
-      "unbounded)\n"
-      "  --instance-capacity=BYTES  instance-cache bound (same spellings)\n"
-      "  --warm=FILE            pre-build the plans a request log needs before\n"
-      "                         serving (batched across --threads)\n"
-      "  --threads=N            build worker threads (default: 0 = inline)\n"
-      "  --batch=N              replay/warm batch size (default: 64)\n"
-      "  --requests=FILE        replay a request log instead of serving\n"
-      "  --replay-report        emit the \"serve\" BenchReport for the replay\n"
-      "  --sessions=N           replay only: drive the log through N\n"
-      "                         concurrent live sessions (default: 1; the\n"
-      "                         report's exact series never change)\n"
-      "  --timing               add requests/sec + latency series (host-\n"
-      "                         dependent; off keeps the report byte-stable)\n"
-      "  --out=FILE             write the report to FILE (default: stdout)\n"
-      "  --port=N               serve loopback TCP sessions instead of stdin\n";
-}
-
-struct ServeCliArgs {
+struct ServeCli {
   std::string grid_arg = "grid5000";
   serve::ServeOptions service;
   std::size_t threads = 0;
   serve::ReplayOptions replay;
   std::string warm_path;
   std::string requests_path;
-  bool replay_report = false;
   std::string out_path;
-  int port = -1;
+  int port = 0;
 };
 
-ServeCliArgs parse_args(const std::vector<std::string>& args) {
-  using exp::value_of;
-  ServeCliArgs cli;
-  for (const auto& arg : args) {
-    const std::string key = arg.substr(0, arg.find('='));
-    if (key == "--grid") {
-      cli.grid_arg = value_of(arg);
-    } else if (key == "--sched") {
-      exp::add_sched_names(value_of(arg), cli.service.sched_names);
-    } else if (key == "--completion") {
-      cli.service.completion = exp::parse_completion(value_of(arg));
-    } else if (key == "--capacity") {
-      cli.service.plan_capacity = exp::parse_size(value_of(arg));
-    } else if (key == "--instance-capacity") {
-      cli.service.instance_capacity = exp::parse_size(value_of(arg));
-    } else if (key == "--warm") {
-      cli.warm_path = value_of(arg);
-    } else if (key == "--threads") {
-      cli.threads = parse_count<std::size_t>(value_of(arg), "--threads");
-    } else if (key == "--batch") {
-      cli.replay.batch = parse_count<std::size_t>(value_of(arg), "--batch");
-      if (cli.replay.batch == 0)
-        throw InvalidInput("--batch must be >= 1");
-    } else if (key == "--requests") {
-      cli.requests_path = value_of(arg);
-    } else if (arg == "--replay-report") {
-      cli.replay_report = true;
-    } else if (key == "--sessions") {
-      cli.replay.sessions =
-          parse_count<std::size_t>(value_of(arg), "--sessions");
-      if (cli.replay.sessions == 0)
-        throw InvalidInput("--sessions must be >= 1");
-    } else if (arg == "--timing") {
-      cli.replay.timing = true;
-    } else if (key == "--out") {
-      cli.out_path = value_of(arg);
-    } else if (key == "--port") {
-      cli.port = parse_count<std::uint16_t>(value_of(arg), "--port");
-      if (cli.port == 0) throw InvalidInput("--port must be >= 1");
-    } else {
-      throw InvalidInput("unknown option '" + arg + "' (see --help)");
-    }
-  }
-  if (cli.requests_path.empty() && (cli.replay_report || cli.replay.timing))
-    throw InvalidInput("--replay-report/--timing need --requests=FILE");
-  if (cli.requests_path.empty() && cli.replay.sessions > 1)
-    throw InvalidInput("--sessions needs --requests=FILE");
-  if (!cli.requests_path.empty() && cli.port >= 0)
-    throw InvalidInput("--requests and --port are mutually exclusive");
-  return cli;
-}
+enum Mode : unsigned { kPort, kReport, kReplay, kStdin };
 
-std::vector<serve::ReplayRequest> load_request_log(const std::string& path) {
+constexpr flags::Modes in(Mode m) { return 1U << m; }
+constexpr flags::Modes kAll = (in(kStdin) << 1) - 1;  // every mode
+
+/// In Mode order.  Each mode answers the line protocol (`plan <verb> <root>
+/// <size>`, `stats`, `quit`) but report, which writes the "serve" report.
+constexpr flags::Mode kModes[] = {{"port", "--port"},
+                                  {"report", "--replay-report"},
+                                  {"replay", "--requests"},
+                                  {"stdin", ""}};
+
+constexpr flags::Flag<ServeCli> kFlags[] = {
+    {"--grid", "grid5000|FILE", kAll, "grid (default: the Table 3 testbed)",
+     [](auto& c, auto& v) { c.grid_arg = v; }},
+    {"--sched", "LIST", kAll, "competing schedulers, or all (default: all)",
+     [](auto& c, auto& v) {
+       c.service.sched_names = exp::parse_sched_names(v);
+     }},
+    {"--completion", "MODEL", kAll, "eager or after-last-send (default: eager)",
+     [](auto& c, auto& v) { c.service.completion = exp::parse_completion(v); }},
+    {"--capacity", "BYTES", kAll, "plan-cache byte bound, e.g. 64M (none)",
+     [](auto& c, auto& v) { c.service.plan_capacity = parse_size(v); }},
+    {"--instance-capacity", "BYTES", kAll, "instance-cache byte bound (none)",
+     [](auto& c, auto& v) { c.service.instance_capacity = parse_size(v); }},
+    {"--warm", "FILE", kAll, "first build the plans a request log needs",
+     [](auto& c, auto& v) { c.warm_path = v; }},
+    {"--threads", "N", kAll, "build worker threads (default: 0 = inline)",
+     [](auto& c, auto& v) {
+       c.threads = parse_count<std::size_t>(v, "--threads");
+     }},
+    {"--port", "N", in(kPort), "answer plan/stats/quit lines on loopback TCP",
+     [](auto& c, auto& v) {
+       c.port = parse_count<std::uint16_t>(v, "--port");
+       if (c.port == 0) throw InvalidInput("--port must be >= 1");
+     }},
+    {"--replay-report", "", in(kReport), "replay --requests into a report",
+     [](auto&, auto&) {}},
+    {"--requests", "FILE", in(kReport) | in(kReplay),
+     "a log of plan/stats/quit lines, answered as stdin is",
+     [](auto& c, auto& v) { c.requests_path = v; }},
+    {"--sessions", "N", in(kReport), "concurrent live sessions (default: 1)",
+     [](auto& c, auto& v) {
+       c.replay.sessions = parse_count<std::size_t>(v, "--sessions");
+       if (c.replay.sessions == 0)
+         throw InvalidInput("--sessions must be >= 1");
+     }},
+    {"--timing", "", in(kReport), "add the host-dependent timing series",
+     [](auto& c, auto&) { c.replay.timing = true; }},
+    {"--out", "FILE", in(kReport), "write the report to FILE (default: stdout)",
+     [](auto& c, auto& v) { c.out_path = v; }},
+};
+
+constexpr flags::Tool<ServeCli> kTool = {"gridcast_serve", kModes, kFlags};
+
+std::ifstream open_log(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw InvalidInput("cannot open request log '" + path + "'");
-  return serve::parse_request_log(in);
+  return in;
 }
 
-/// `--warm=FILE`: build every plan the log's requests need, through the
-/// same batched build path replay uses, before the first request is
-/// served.  Valid with every front-end.
-void warm_cache(const ServeCliArgs& cli, serve::PlanService& service) {
-  if (cli.warm_path.empty()) return;
-  const std::vector<serve::ReplayRequest> requests =
-      load_request_log(cli.warm_path);
-  ThreadPool pool(cli.threads);
-  const std::size_t built =
-      serve::warm_requests(service, requests, pool, cli.replay.batch);
-  std::cerr << "gridcast_serve: warmed " << built << " plans from "
-            << cli.warm_path << "\n";
-}
-
-int run_replay(const ServeCliArgs& cli, serve::PlanService& service) {
-  const std::vector<serve::ReplayRequest> requests =
-      load_request_log(cli.requests_path);
-  if (!cli.replay_report) {
-    // Reply-stream mode: every request through the interactive path, so a
-    // log replays exactly like piping it to stdin.
-    for (const auto& rq : requests) {
-      std::string line = "plan ";
-      line += collective::verb_name(rq.verb);
-      line += ' ' + std::to_string(rq.root) + ' ' + std::to_string(rq.size);
-      const auto reply = service.handle_line(line);
-      if (!reply.text.empty()) std::cout << reply.text << '\n';
-    }
-    return 0;
-  }
-  ThreadPool pool(cli.threads);
-  exp::write_report(serve::replay_requests(service, requests, pool, cli.replay),
-                    cli.out_path, std::cout);
-  return 0;
-}
-
-int run_stdin(serve::PlanService& service) {
-  for (std::string line; std::getline(std::cin, line);) {
+/// Answer each protocol line of `in`: a stdin session or a request log.
+int answer_lines(std::istream& in, serve::PlanService& service) {
+  for (std::string line; std::getline(in, line);) {
     const auto reply = service.handle_line(line);
     if (!reply.text.empty()) std::cout << reply.text << std::endl;
     if (reply.quit) break;
@@ -204,10 +119,10 @@ int run_stdin(serve::PlanService& service) {
   return 0;
 }
 
-/// Loopback TCP sessions, one thread each, until SIGINT/SIGTERM.  The
-/// accept loop, session threads and async miss answering all live in
-/// serve::SocketServer where they are tested against loopback clients.
+/// Loopback TCP sessions until SIGINT/SIGTERM; the accept loop, sessions and
+/// async miss answering live in serve::SocketServer, tested there.
 int run_tcp(int port, serve::PlanService& service) {
+  install_stop_handlers();
   serve::SocketServerOptions opts;
   opts.port = port;
   opts.log = [](const std::string& line) {
@@ -220,33 +135,45 @@ int run_tcp(int port, serve::PlanService& service) {
   return 0;
 }
 
+int serve_main(const std::vector<std::string>& args) {
+  ServeCli cli;
+  const auto mode = static_cast<Mode>(flags::parse(kTool, args, cli).mode);
+  if (mode == kReport && cli.requests_path.empty())
+    throw InvalidInput("--replay-report needs --requests=FILE");
+  std::string grid_name;
+  const topology::Grid grid = exp::load_grid(cli.grid_arg, grid_name);
+  serve::PlanService service(grid, grid_name, cli.service);
+  ThreadPool pool(cli.threads);
+  if (!cli.warm_path.empty()) {
+    std::ifstream log = open_log(cli.warm_path);
+    const std::size_t built =
+        serve::warm_requests(service, serve::parse_request_log(log), pool);
+    std::cerr << "gridcast_serve: warmed " << built << " plans from "
+              << cli.warm_path << "\n";
+  }
+  switch (mode) {
+    case kPort:
+      return run_tcp(cli.port, service);
+    case kReport: {
+      std::ifstream log = open_log(cli.requests_path);
+      exp::write_report(serve::replay_requests(
+                            service, serve::parse_request_log(log), pool,
+                            cli.replay),
+                        cli.out_path, std::cout);
+      return 0;
+    }
+    case kReplay: {
+      std::ifstream log = open_log(cli.requests_path);
+      return answer_lines(log, service);
+    }
+    case kStdin:
+      return answer_lines(std::cin, service);
+  }
+  return 3;  // unreachable
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  for (const auto& a : args) {
-    if (a == "--help" || a == "-h") {
-      std::cout << usage();
-      return 0;
-    }
-  }
-  try {
-    const ServeCliArgs cli = parse_args(args);
-    std::string grid_name;
-    const topology::Grid grid = exp::load_grid(cli.grid_arg, grid_name);
-    serve::PlanService service(grid, grid_name, cli.service);
-    warm_cache(cli, service);
-    if (!cli.requests_path.empty()) return run_replay(cli, service);
-    if (cli.port >= 0) {
-      install_stop_handlers();
-      return run_tcp(cli.port, service);
-    }
-    return run_stdin(service);
-  } catch (const gridcast::InvalidInput& e) {
-    std::cerr << "gridcast_serve: " << e.what() << "\n";
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "gridcast_serve: internal error: " << e.what() << "\n";
-    return 3;
-  }
+  return flags::run(kTool, argc, argv, std::cout, std::cerr, serve_main);
 }
