@@ -67,64 +67,6 @@ BcastResult run_binomial_bcast(sim::Network& net,
   return collect(net, delivered);
 }
 
-BcastResult run_flat_bcast(sim::Network& net, const std::vector<NodeId>& ranks,
-                           Bytes m) {
-  std::vector<Time> delivered = start(net, ranks);
-  for (std::size_t i = 1; i < ranks.size(); ++i)
-    delivered[i] = net.send(ranks[0], ranks[i], m).delivered;
-  return collect(net, delivered);
-}
-
-BcastResult run_chain_bcast(sim::Network& net,
-                            const std::vector<NodeId>& ranks, Bytes m) {
-  std::vector<Time> delivered = start(net, ranks);
-
-  // The handler lives on this frame: collect() drains the engine before
-  // it returns, so every callback pointing at it runs while it exists.
-  std::function<void(std::size_t, Time)> forward;
-  forward = [&net, &ranks, m, &delivered, &forward](std::size_t i, Time t) {
-    delivered[i] = t;
-    if (i + 1 < ranks.size())
-      net.send(ranks[i], ranks[i + 1], m,
-               [&forward, i](Time tt) { forward(i + 1, tt); });
-  };
-  forward(0, net.engine().now());
-  return collect(net, delivered);
-}
-
-BcastResult run_segmented_chain_bcast(sim::Network& net,
-                                      const std::vector<NodeId>& ranks,
-                                      Bytes m, Bytes segment) {
-  std::vector<Time> delivered = start(net, ranks);
-  GRIDCAST_ASSERT(segment > 0, "segment size must be positive");
-  const Bytes seg = std::min(segment, m > 0 ? m : Bytes{1});
-  const std::uint64_t full = m / seg;
-  const Bytes tail = m % seg;
-  const std::uint64_t segments = full + (tail > 0 ? 1 : 0);
-  if (segments <= 1 || ranks.size() == 1) return run_chain_bcast(net, ranks, m);
-
-  std::vector<std::uint64_t> remaining(ranks.size(), segments);
-  remaining[0] = 0;
-
-  // On this frame, like run_chain_bcast's handler: collect() drains the
-  // engine before it returns.
-  std::function<void(std::size_t, Bytes, Time)> forward;
-  forward = [&net, &ranks, &delivered, &remaining, &forward](
-                std::size_t i, Bytes sz, Time t) {
-    if (--remaining[i] == 0) delivered[i] = t;
-    if (i + 1 < ranks.size())
-      net.send(ranks[i], ranks[i + 1], sz,
-               [&forward, i, sz](Time tt) { forward(i + 1, sz, tt); });
-  };
-  // Root streams all segments to the next hop; its NIC pipelines them.
-  for (std::uint64_t s = 0; s < segments; ++s) {
-    const Bytes sz = (s == segments - 1 && tail > 0) ? tail : seg;
-    net.send(ranks[0], ranks[1], sz,
-             [&forward, sz](Time tt) { forward(1, sz, tt); });
-  }
-  return collect(net, delivered);
-}
-
 BcastResult run_hierarchical_bcast(sim::Network& net, ClusterId root_cluster,
                                    const sched::SendOrder& order, Bytes m,
                                    IntraOrder intra_order) {

@@ -12,7 +12,7 @@
 /// These run the *actual* communication pattern — every point-to-point
 /// message is simulated — and therefore "measure" completion the way the
 /// paper's Section 7 measured its 88-machine runs.  The analytic
-/// predictors in plogp/collective_predict.hpp are the Fig. 5 counterpart.
+/// predictors in plogp/ are the Fig. 5 counterpart.
 namespace gridcast::collective {
 
 /// Outcome of one executed broadcast.
@@ -30,21 +30,6 @@ struct BcastResult {
 [[nodiscard]] BcastResult run_binomial_bcast(sim::Network& net,
                                              const std::vector<NodeId>& ranks,
                                              Bytes m);
-
-/// Flat-tree broadcast over `ranks` (root sends to each in order).
-[[nodiscard]] BcastResult run_flat_bcast(sim::Network& net,
-                                         const std::vector<NodeId>& ranks,
-                                         Bytes m);
-
-/// Chain broadcast (rank i forwards to rank i+1).
-[[nodiscard]] BcastResult run_chain_bcast(sim::Network& net,
-                                          const std::vector<NodeId>& ranks,
-                                          Bytes m);
-
-/// Segmented-chain (pipelined) broadcast.
-[[nodiscard]] BcastResult run_segmented_chain_bcast(
-    sim::Network& net, const std::vector<NodeId>& ranks, Bytes m,
-    Bytes segment);
 
 /// Coordinator NIC policy for the two-level broadcast (DESIGN.md §4.4).
 enum class IntraOrder : std::uint8_t {

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "plogp/collective_predict.hpp"
 #include "plogp/gap_function.hpp"
 #include "plogp/params.hpp"
 #include "topology/cluster.hpp"
@@ -40,8 +39,7 @@ topology::Grid realise_instance(const sched::Instance& inst) {
   clusters.reserve(n);
   for (ClusterId c = 0; c < n; ++c)
     clusters.emplace_back(std::string("c").append(std::to_string(c)), 2,
-                          exact_link(inst.T(c), 0.0),
-                          plogp::BcastAlgorithm::kBinomial);
+                          exact_link(inst.T(c), 0.0));
 
   topology::Grid grid(std::move(clusters));
   // Instances sampled from Table 2 are symmetric, but the Instance type is

@@ -104,15 +104,6 @@ plogp::Params read_record_params(Lexer& lex, const std::string& record) {
   }
 }
 
-plogp::BcastAlgorithm algorithm_from_name(const std::string& name) {
-  for (const auto a :
-       {plogp::BcastAlgorithm::kFlat, plogp::BcastAlgorithm::kChain,
-        plogp::BcastAlgorithm::kBinomial,
-        plogp::BcastAlgorithm::kSegmentedChain})
-    if (name == plogp::to_string(a)) return a;
-  throw InvalidInput("unknown intra algorithm '" + name + "'");
-}
-
 }  // namespace
 
 void write_grid(std::ostream& os, const topology::Grid& grid) {
@@ -122,8 +113,7 @@ void write_grid(std::ostream& os, const topology::Grid& grid) {
   os << "clusters " << grid.cluster_count() << '\n';
   for (ClusterId c = 0; c < grid.cluster_count(); ++c) {
     const auto& cl = grid.cluster(c);
-    os << "cluster " << cl.name() << ' ' << cl.size() << ' '
-       << plogp::to_string(cl.algorithm());
+    os << "cluster " << cl.name() << ' ' << cl.size() << " binomial";
     write_params(os, cl.intra());
     os << '\n';
   }
@@ -156,10 +146,15 @@ topology::Grid read_grid(std::istream& is) {
     const auto size =
         parse_count<std::uint32_t>(lex.word("cluster size"), "cluster size");
     if (size == 0) throw InvalidInput("cluster size must be positive");
-    const auto algorithm = algorithm_from_name(lex.word("intra algorithm"));
-    plogp::Params intra = read_record_params(
-        lex, "cluster " + std::to_string(c) + " ('" + name + "')");
-    clusters.emplace_back(name, size, std::move(intra), algorithm);
+    const std::string record =
+        "cluster " + std::to_string(c) + " ('" + name + "')";
+    // The simulator runs the binomial tree whatever a file declares, so
+    // the model times only that tree and a file may declare only it.
+    const std::string algorithm = lex.word("intra algorithm");
+    if (algorithm != "binomial")
+      throw InvalidInput(record + ": intra algorithm must be 'binomial', " +
+                         "got '" + algorithm + "'");
+    clusters.emplace_back(name, size, read_record_params(lex, record));
   }
 
   topology::Grid grid(std::move(clusters));

@@ -16,13 +16,14 @@
 ///
 ///     gridcast-grid v1
 ///     clusters <n>
-///     cluster <name> <size> <algorithm> params <L> fn <k> <size value>...
+///     cluster <name> <size> binomial params <L> fn <k> <size value>...
 ///         ... fn <k> ... fn <k> ...      # g, os, or sample lists
 ///     link <from> <to> params ...        # one per ordered pair
 ///     end
 ///
-/// `algorithm` is the intra broadcast algorithm name (collective_predict
-/// to_string form).  Parsing is strict; malformed input throws
+/// `binomial` names the intra-cluster broadcast: T_c is the binomial
+/// tree's, the one the simulator runs, and any other token is refused
+/// with the cluster it names.  Parsing is strict; malformed input throws
 /// InvalidInput with the offending token.
 namespace gridcast::io {
 

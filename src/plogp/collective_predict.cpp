@@ -1,35 +1,8 @@
 #include "plogp/collective_predict.hpp"
 
 #include <algorithm>
-#include <array>
-
-#include "support/error.hpp"
 
 namespace gridcast::plogp {
-
-std::string_view to_string(BcastAlgorithm a) noexcept {
-  switch (a) {
-    case BcastAlgorithm::kFlat: return "flat";
-    case BcastAlgorithm::kChain: return "chain";
-    case BcastAlgorithm::kBinomial: return "binomial";
-    case BcastAlgorithm::kSegmentedChain: return "segmented-chain";
-  }
-  return "?";
-}
-
-Time predict_flat_bcast(const Params& p, std::uint32_t nodes, Bytes m) {
-  if (nodes <= 1) return 0.0;
-  // Root injects nodes-1 messages back to back; the last one lands after
-  // its latency.  Receivers additionally pay the receive overhead.
-  const Time g = p.g(m);
-  return static_cast<double>(nodes - 1) * g + p.L + p.orecv(m);
-}
-
-Time predict_chain_bcast(const Params& p, std::uint32_t nodes, Bytes m) {
-  if (nodes <= 1) return 0.0;
-  // Each hop: full message store-and-forward.
-  return static_cast<double>(nodes - 1) * (p.g(m) + p.L) + p.orecv(m);
-}
 
 Time predict_binomial_bcast(const Params& p, std::uint32_t nodes, Bytes m) {
   if (nodes <= 1) return 0.0;
@@ -38,8 +11,6 @@ Time predict_binomial_bcast(const Params& p, std::uint32_t nodes, Bytes m) {
   // both halves; the sender is re-available one gap later, the child holds
   // the payload after g + L + or.
   struct Rec {
-    const Params& p;
-    Bytes m;
     Time g, hop;
     [[nodiscard]] Time run(std::uint32_t n, Time ready) const {
       if (n <= 1) return ready;
@@ -51,55 +22,8 @@ Time predict_binomial_bcast(const Params& p, std::uint32_t nodes, Bytes m) {
       return std::max(mine, theirs);
     }
   };
-  const Rec rec{p, m, p.g(m), p.g(m) + p.L + p.orecv(m)};
+  const Rec rec{p.g(m), p.g(m) + p.L + p.orecv(m)};
   return rec.run(nodes, 0.0);
-}
-
-Time predict_segmented_chain_bcast(const Params& p, std::uint32_t nodes,
-                                   Bytes m, Bytes segment) {
-  if (nodes <= 1) return 0.0;
-  GRIDCAST_ASSERT(segment > 0, "segment size must be positive");
-  const Bytes seg = std::min(segment, m > 0 ? m : Bytes{1});
-  const auto full_segments = m / seg;
-  const Bytes tail = m % seg;
-  const auto segments = full_segments + (tail > 0 ? 1 : 0);
-  if (segments == 0) return predict_chain_bcast(p, nodes, Bytes{0});
-  // Pipeline: the first segment reaches the last rank after (nodes-1) hops;
-  // every further segment streams one gap behind.
-  const Time hop = p.g(seg) + p.L;
-  const Time fill = static_cast<double>(nodes - 1) * hop;
-  const Time stream = static_cast<double>(segments - 1) * p.g(seg);
-  return fill + stream + p.orecv(seg);
-}
-
-Time predict_bcast(BcastAlgorithm a, const Params& p, std::uint32_t nodes,
-                   Bytes m, Bytes segment) {
-  switch (a) {
-    case BcastAlgorithm::kFlat: return predict_flat_bcast(p, nodes, m);
-    case BcastAlgorithm::kChain: return predict_chain_bcast(p, nodes, m);
-    case BcastAlgorithm::kBinomial: return predict_binomial_bcast(p, nodes, m);
-    case BcastAlgorithm::kSegmentedChain:
-      return predict_segmented_chain_bcast(p, nodes, m, segment);
-  }
-  GRIDCAST_ASSERT(false, "unknown broadcast algorithm");
-  return 0.0;
-}
-
-BcastAlgorithm best_bcast_algorithm(const Params& p, std::uint32_t nodes,
-                                    Bytes m, Bytes segment) {
-  constexpr std::array algos{
-      BcastAlgorithm::kFlat, BcastAlgorithm::kChain, BcastAlgorithm::kBinomial,
-      BcastAlgorithm::kSegmentedChain};
-  BcastAlgorithm best = BcastAlgorithm::kBinomial;
-  Time best_t = predict_bcast(best, p, nodes, m, segment);
-  for (const auto a : algos) {
-    const Time t = predict_bcast(a, p, nodes, m, segment);
-    if (t < best_t) {
-      best_t = t;
-      best = a;
-    }
-  }
-  return best;
 }
 
 }  // namespace gridcast::plogp

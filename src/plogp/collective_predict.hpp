@@ -1,60 +1,29 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "plogp/params.hpp"
 #include "support/types.hpp"
 
-/// Analytic intra-cluster collective-time prediction.
+/// Analytic intra-cluster broadcast-time prediction.
 ///
 /// The grid-aware heuristics consume `T_c`, the time a cluster needs to
 /// finish its *internal* broadcast once the coordinator holds the message.
 /// Following the authors' earlier work ("Fast tuning of intra-cluster
 /// collective communications", EuroPVM/MPI 2004), we predict that time from
-/// the cluster's pLogP parameters for the classic algorithm zoo; the paper's
-/// experiments use the binomial tree.
+/// the cluster's pLogP parameters for the binomial tree, which the paper's
+/// experiments and the simulator (collective/bcast.hpp) both run.
 namespace gridcast::plogp {
 
-/// Intra-cluster broadcast algorithm.
+/// Intra-cluster broadcast algorithm: the binomial tree is the only one.
 enum class BcastAlgorithm : std::uint8_t {
-  kFlat,             ///< root sends to every rank sequentially
-  kChain,            ///< rank i forwards to rank i+1
-  kBinomial,         ///< recursive doubling tree (MPI default)
-  kSegmentedChain,   ///< pipelined chain with fixed-size segments
+  kBinomial,  ///< recursive doubling tree (MPI default)
 };
 
-[[nodiscard]] std::string_view to_string(BcastAlgorithm a) noexcept;
-
-/// Completion time of a flat-tree broadcast of m bytes to `nodes` ranks
-/// (root included).  Zero when nodes <= 1.
-[[nodiscard]] Time predict_flat_bcast(const Params& p, std::uint32_t nodes,
-                                      Bytes m);
-
-/// Completion time of an unsegmented chain broadcast.
-[[nodiscard]] Time predict_chain_bcast(const Params& p, std::uint32_t nodes,
-                                       Bytes m);
-
-/// Completion time of a binomial-tree broadcast: holders double every
-/// round; each holder's sends serialize with gap g(m).
+/// Completion time of a binomial-tree broadcast of m bytes to `nodes`
+/// ranks (root included): holders double every round; each holder's sends
+/// serialize with gap g(m).  Zero when nodes <= 1.
 [[nodiscard]] Time predict_binomial_bcast(const Params& p, std::uint32_t nodes,
                                           Bytes m);
-
-/// Completion time of a segmented (pipelined) chain broadcast with
-/// `segment` bytes per piece.  The classic large-message winner.
-[[nodiscard]] Time predict_segmented_chain_bcast(const Params& p,
-                                                 std::uint32_t nodes, Bytes m,
-                                                 Bytes segment);
-
-/// Dispatcher used by the topology layer to compute T_c.
-[[nodiscard]] Time predict_bcast(BcastAlgorithm a, const Params& p,
-                                 std::uint32_t nodes, Bytes m,
-                                 Bytes segment = KiB(64));
-
-/// Pick the fastest algorithm for the given size/population — the "tuning"
-/// step of the authors' intra-cluster paper.
-[[nodiscard]] BcastAlgorithm best_bcast_algorithm(const Params& p,
-                                                  std::uint32_t nodes, Bytes m,
-                                                  Bytes segment = KiB(64));
 
 }  // namespace gridcast::plogp

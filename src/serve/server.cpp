@@ -263,6 +263,20 @@ double percentile(const std::vector<double>& sorted, double q) {
   return sorted[(k == 0 ? 1 : k) - 1];
 }
 
+/// Builds each of a batch's `pending` signatures across the pool, in
+/// order.  Builds are independent and deterministic, so the worker count
+/// cannot change any result.
+std::vector<PlanPtr> build_pending(PlanService& service,
+                                   const std::vector<PlanSignature>& pending,
+                                   ThreadPool& pool) {
+  std::vector<PlanPtr> built(pending.size());
+  pool.parallel_for(pending.size(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t j = b; j < e; ++j)
+      built[j] = service.build_plan(pending[j]);
+  });
+  return built;
+}
+
 }  // namespace
 
 io::BenchReport replay_requests(PlanService& service,
@@ -323,14 +337,9 @@ io::BenchReport replay_requests(PlanService& service,
     }
 
     // Phase 2 (parallel): build the batch's new signatures across the
-    // pool.  Builds are independent and deterministic, so the worker
-    // count cannot change any result.
+    // pool.
     const auto t_build = clock::now();
-    std::vector<PlanPtr> built(pending.size());
-    pool.parallel_for(pending.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t j = b; j < e; ++j)
-        built[j] = service.build_plan(pending[j]);
-    });
+    std::vector<PlanPtr> built = build_pending(service, pending, pool);
     for (std::size_t j = 0; j < pending.size(); ++j)
       built_by_sig[pending[j]] = std::move(built[j]);
     const double build_s = serial_timing ? seconds_since(t_build) : 0.0;
@@ -376,18 +385,12 @@ io::BenchReport replay_requests(PlanService& service,
           for (std::size_t i = b; i < e; ++i) {
             const auto t0 = clock::now();
             const ReplayRequest& rq = requests[i];
-            std::string line = "plan ";
-            line += collective::verb_name(rq.verb);
-            line += ' ' + std::to_string(rq.root) + ' ' +
-                    std::to_string(rq.size);
-            const PlanService::Reply reply = service.handle_line(line);
-            if (reply.text.rfind("error: ", 0) == 0)
-              throw InvalidInput("serve replay session " + std::to_string(s) +
-                                 ": " + reply.text);
+            (void)service.serve(rq.verb, rq.root, rq.size);
             if (opts.timing) session_lat[i] = seconds_since(t0);
           }
         } catch (const std::exception& ex) {
-          session_error[s] = ex.what();
+          session_error[s] =
+              "serve replay session " + std::to_string(s) + ": " + ex.what();
         }
       });
     }
@@ -467,15 +470,10 @@ std::size_t warm_requests(PlanService& service,
       }
     }
 
-    std::vector<PlanPtr> built(pending.size());
-    pool.parallel_for(pending.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t j = b; j < e; ++j)
-        built[j] = service.build_plan(pending[j]);
-    });
-
     // Serial inserts in request order: a deterministic LRU and eviction
     // history whatever ran where, exactly like replay's.
-    for (auto& p : built) (void)service.plans().insert(std::move(p));
+    for (auto& p : build_pending(service, pending, pool))
+      (void)service.plans().insert(std::move(p));
     total_built += pending.size();
   }
   return total_built;

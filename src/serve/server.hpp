@@ -191,7 +191,7 @@ struct ReplayOptions {
   bool timing = false;
   /// Concurrent replay sessions: with `sessions > 1` the log is split
   /// contiguously and each shard is driven through the live request path
-  /// (`handle_line`) by its own thread, hammering the latched caches
+  /// (`serve`) by its own thread, hammering the latched caches
   /// concurrently.  The deterministic series never depend on it — they
   /// are computed by the serial accounting model — so the report stays
   /// byte-identical for every session count; with `timing`, the timing

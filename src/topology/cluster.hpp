@@ -16,26 +16,27 @@ namespace gridcast::topology {
 /// local rank 0; it is the only member that speaks to other clusters.
 class Cluster {
  public:
+  /// The internal broadcast is the binomial tree, the only
+  /// `BcastAlgorithm`.  The fourth argument and `algorithm()` stay only
+  /// because perfbench's grid writer copies a drawn cluster's algorithm.
   Cluster(std::string name, std::uint32_t size, plogp::Params intra,
-          plogp::BcastAlgorithm algorithm = plogp::BcastAlgorithm::kBinomial);
+          plogp::BcastAlgorithm = plogp::BcastAlgorithm::kBinomial);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
   [[nodiscard]] const plogp::Params& intra() const noexcept { return intra_; }
   [[nodiscard]] plogp::BcastAlgorithm algorithm() const noexcept {
-    return algorithm_;
+    return plogp::BcastAlgorithm::kBinomial;
   }
-  void set_algorithm(plogp::BcastAlgorithm a) noexcept { algorithm_ = a; }
 
-  /// Predicted internal broadcast time T_c for an m-byte payload (zero for
-  /// singleton clusters — nothing to forward).
+  /// Predicted internal broadcast time T_c for an m-byte payload: the
+  /// binomial tree's (zero for singleton clusters — nothing to forward).
   [[nodiscard]] Time internal_bcast_time(Bytes m) const;
 
  private:
   std::string name_;
   std::uint32_t size_;
   plogp::Params intra_;
-  plogp::BcastAlgorithm algorithm_;
 };
 
 }  // namespace gridcast::topology

@@ -1,6 +1,6 @@
 // Backend parity: the analytic "plogp" backend and the executing "sim"
 // backend are two views of the same cost model, and the closed-form pLogP
-// algorithm predictions agree with their executed counterparts.  This is
+// binomial-tree prediction agrees with its executed counterpart.  This is
 // the invariant that lets `--backend=plogp` forecast `--backend=sim`
 // (Fig. 5 forecasting Fig. 6), and it is what makes the backend swap in
 // the sweep harness a semantics-preserving refactor.
@@ -47,48 +47,7 @@ std::vector<NodeId> all_ranks(std::uint32_t nodes) {
   return ranks;
 }
 
-// ------------------------- closed-form algorithms vs executed algorithms
-
-TEST(PrimitiveParity, FlatBcastMatchesClosedFormExactly) {
-  // Flat tree: both sides charge (n-1)·g + L + or for the last rank, so
-  // the executed run must hit the closed form to float precision — even
-  // with non-zero overheads.
-  for (const std::uint32_t nodes : {2u, 5u, 16u}) {
-    const topology::Grid grid = one_cluster_grid(nodes, us(20));
-    sim::Network net(grid, {}, 1);
-    const Time run =
-        collective::run_flat_bcast(net, all_ranks(nodes), MiB(1)).completion;
-    const Time predicted =
-        plogp::predict_flat_bcast(grid.cluster(0).intra(), nodes, MiB(1));
-    EXPECT_NEAR(run, predicted, 1e-9) << nodes << " nodes";
-  }
-}
-
-TEST(PrimitiveParity, ChainBcastMatchesClosedFormWithZeroOverheads) {
-  // Chain: the closed form charges the receive overhead once at the end;
-  // the executor pays it per store-and-forward hop.  With zero overheads
-  // the two coincide exactly; with overheads they diverge by exactly
-  // (n-2)·or — assert both so the residual stays understood.
-  const Bytes m = KiB(512);
-  for (const std::uint32_t nodes : {2u, 4u, 9u}) {
-    const topology::Grid bare = one_cluster_grid(nodes, 0.0);
-    sim::Network net(bare, {}, 1);
-    const Time run =
-        collective::run_chain_bcast(net, all_ranks(nodes), m).completion;
-    const Time predicted =
-        plogp::predict_chain_bcast(bare.cluster(0).intra(), nodes, m);
-    EXPECT_NEAR(run, predicted, 1e-9) << nodes << " nodes";
-  }
-  const std::uint32_t nodes = 6;
-  const Time overhead = us(40);
-  const topology::Grid grid = one_cluster_grid(nodes, overhead);
-  sim::Network net(grid, {}, 1);
-  const Time run =
-      collective::run_chain_bcast(net, all_ranks(nodes), m).completion;
-  const Time predicted =
-      plogp::predict_chain_bcast(grid.cluster(0).intra(), nodes, m);
-  EXPECT_NEAR(run - predicted, (nodes - 2) * overhead, 1e-9);
-}
+// ------------------------------ closed-form binomial vs executed binomial
 
 TEST(PrimitiveParity, BinomialBcastMatchesClosedFormExactly) {
   // The executor's recursive split mirrors predict_binomial_bcast's; both
@@ -183,9 +142,7 @@ TEST(BackendParity, Grid5000CompletionsAgreeWithinOverheadResidual) {
 // The closed-form pLogP scatter and alltoall predictions must match the
 // executed algorithms exactly on zero-overhead grids (the analytic model
 // omits only the receive overhead) and within the same ≤5% residual the
-// broadcast parity enforces on the realistic testbed — across schedules
-// and across the intra-cluster algorithm zoo (flat/chain/binomial, which
-// change T_c and therefore the orders the schedulers pick).
+// broadcast parity enforces on the realistic testbed — across schedules.
 
 /// Fold an executing backend's per-rank delivery vector to per-cluster
 /// finish times, the granularity the analytic backend reports.
@@ -235,25 +192,6 @@ TEST(VerbParity, ZeroOverheadCompletionsAgreeExactly) {
       const auto entry = sched::registry().make(name);
       expect_verb_parity(grid, *entry, MiB(1),
                          "seed " + std::to_string(seed) + " " +
-                             std::string(name));
-    }
-  }
-}
-
-TEST(VerbParity, IntraAlgorithmZooStaysExact) {
-  // Flat/chain/binomial intra broadcasts give each cluster a different
-  // T_c, which reshuffles the schedulers' injection orders — parity must
-  // hold for every resulting schedule.
-  for (const auto algo :
-       {plogp::BcastAlgorithm::kFlat, plogp::BcastAlgorithm::kChain,
-        plogp::BcastAlgorithm::kBinomial}) {
-    topology::Grid grid = random_bare_grid(11, 6);
-    for (ClusterId c = 0; c < grid.cluster_count(); ++c)
-      grid.cluster(c).set_algorithm(algo);
-    for (const std::string_view name : {"FlatTree", "ECEF-LAT"}) {
-      const auto entry = sched::registry().make(name);
-      expect_verb_parity(grid, *entry, KiB(512),
-                         std::string(plogp::to_string(algo)) + " " +
                              std::string(name));
     }
   }

@@ -8,7 +8,7 @@ namespace gridcast::collective {
 namespace {
 
 /// One homogeneous cluster with zero overheads: executor timings must
-/// match the analytic predictors *exactly*.
+/// match the analytic predictor *exactly*.
 plogp::Params bare_params(Time L, Time g0, double bw) {
   plogp::Params p;
   p.L = L;
@@ -51,64 +51,10 @@ TEST_P(BcastMatchesPredictor, Binomial) {
   EXPECT_EQ(r.messages, n - 1);
 }
 
-TEST_P(BcastMatchesPredictor, Flat) {
-  const auto [n, m] = GetParam();
-  const auto grid = single_cluster(n);
-  const auto p = grid.cluster(0).intra();
-  sim::Network net(grid, {}, 1);
-  const auto r = run_flat_bcast(net, iota_ranks(n), m);
-  EXPECT_NEAR(r.completion, plogp::predict_flat_bcast(p, n, m), 1e-12);
-}
-
-TEST_P(BcastMatchesPredictor, Chain) {
-  const auto [n, m] = GetParam();
-  const auto grid = single_cluster(n);
-  const auto p = grid.cluster(0).intra();
-  sim::Network net(grid, {}, 1);
-  const auto r = run_chain_bcast(net, iota_ranks(n), m);
-  EXPECT_NEAR(r.completion, plogp::predict_chain_bcast(p, n, m), 1e-12);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BcastMatchesPredictor,
     ::testing::Combine(::testing::Values(2u, 3u, 4u, 5u, 8u, 13u, 16u, 31u),
                        ::testing::Values(Bytes{1000}, KiB(64), MiB(1))));
-
-TEST(Bcast, SegmentedChainMatchesPredictor) {
-  const std::uint32_t n = 8;
-  const Bytes m = MiB(1);
-  const Bytes seg = KiB(64);
-  const auto grid = single_cluster(n);
-  const auto p = grid.cluster(0).intra();
-  sim::Network net(grid, {}, 1);
-  const auto r = run_segmented_chain_bcast(net, iota_ranks(n), m, seg);
-  EXPECT_NEAR(r.completion,
-              plogp::predict_segmented_chain_bcast(p, n, m, seg), 1e-9);
-}
-
-TEST(Bcast, SegmentedChainBeatsChainOnLargeMessages) {
-  // Pipelining wins when the per-message overhead is small relative to a
-  // segment's wire time (the realistic regime: 10 us setup, 64 KiB
-  // segments at ~0.6 ms each).
-  const std::uint32_t n = 12;
-  std::vector<topology::Cluster> cs;
-  cs.emplace_back("c", n, bare_params(0.001, 0.00001, 1e8));
-  const topology::Grid grid(std::move(cs));
-  sim::Network a(grid, {}, 1), b(grid, {}, 1);
-  const Time chain = run_chain_bcast(a, iota_ranks(n), MiB(4)).completion;
-  const Time seg =
-      run_segmented_chain_bcast(b, iota_ranks(n), MiB(4), KiB(64)).completion;
-  EXPECT_LT(seg, chain);
-}
-
-TEST(Bcast, DeliveredTimesAreMonotoneAlongChain) {
-  const std::uint32_t n = 6;
-  const auto grid = single_cluster(n);
-  sim::Network net(grid, {}, 1);
-  const auto r = run_chain_bcast(net, iota_ranks(n), KiB(64));
-  for (std::uint32_t i = 1; i < n; ++i)
-    EXPECT_GT(r.delivered[i], r.delivered[i - 1]);
-}
 
 TEST(Bcast, BinomialDeliversEveryRankOnce) {
   const std::uint32_t n = 16;
@@ -125,7 +71,7 @@ TEST(Bcast, CompletionIsMaxDelivery) {
   const std::uint32_t n = 9;
   const auto grid = single_cluster(n);
   sim::Network net(grid, {}, 1);
-  const auto r = run_flat_bcast(net, iota_ranks(n), KiB(16));
+  const auto r = run_binomial_bcast(net, iota_ranks(n), KiB(16));
   Time max_d = 0.0;
   for (const Time d : r.delivered) max_d = std::max(max_d, d);
   EXPECT_DOUBLE_EQ(r.completion, max_d);

@@ -112,56 +112,6 @@ BcastResult binomial(sim::Network& net, const std::vector<NodeId>& ranks,
   return collect(net, st);
 }
 
-BcastResult flat(sim::Network& net, const std::vector<NodeId>& ranks,
-                 Bytes m) {
-  auto st = rooted(net, ranks.size());
-  for (std::size_t i = 1; i < ranks.size(); ++i)
-    net.send(ranks[0], ranks[i], m, [st, i](Time t) { st->at[i] = t; });
-  return collect(net, st);
-}
-
-BcastResult chain(sim::Network& net, const std::vector<NodeId>& ranks,
-                  Bytes m) {
-  auto st = rooted(net, ranks.size());
-  std::function<void(std::size_t, Time)> forward;
-  forward = [&net, &ranks, m, &st, &forward](std::size_t i, Time t) {
-    st->at[i] = t;
-    if (i + 1 < ranks.size())
-      net.send(ranks[i], ranks[i + 1], m,
-               [&forward, i](Time tt) { forward(i + 1, tt); });
-  };
-  forward(0, net.engine().now());
-  return collect(net, st);
-}
-
-BcastResult segmented_chain(sim::Network& net,
-                            const std::vector<NodeId>& ranks, Bytes m,
-                            Bytes segment) {
-  const Bytes seg = std::min(segment, m > 0 ? m : Bytes{1});
-  const std::uint64_t full = m / seg;
-  const Bytes tail = m % seg;
-  const std::uint64_t segments = full + (tail > 0 ? 1 : 0);
-  if (segments <= 1 || ranks.size() == 1) return chain(net, ranks, m);
-
-  auto st = rooted(net, ranks.size());
-  std::vector<std::uint64_t> remaining(ranks.size(), segments);
-  remaining[0] = 0;
-  std::function<void(std::size_t, Bytes, Time)> forward;
-  forward = [&net, &ranks, &st, &remaining, &forward](std::size_t i, Bytes sz,
-                                                      Time t) {
-    if (--remaining[i] == 0) st->at[i] = t;
-    if (i + 1 < ranks.size())
-      net.send(ranks[i], ranks[i + 1], sz,
-               [&forward, i, sz](Time tt) { forward(i + 1, sz, tt); });
-  };
-  for (std::uint64_t s = 0; s < segments; ++s) {
-    const Bytes sz = (s == segments - 1 && tail > 0) ? tail : seg;
-    net.send(ranks[0], ranks[1], sz,
-             [&forward, sz](Time tt) { forward(1, sz, tt); });
-  }
-  return collect(net, st);
-}
-
 BcastResult hierarchical(sim::Network& net, ClusterId root_cluster,
                          const sched::SendOrder& order, Bytes m,
                          IntraOrder intra_order) {
@@ -494,7 +444,7 @@ topology::Grid sixteen_clusters() {
   std::vector<topology::Cluster> clusters;
   for (ClusterId c = 0; c < cfg.clusters; ++c) {
     const topology::Cluster& d = drawn.cluster(c);
-    clusters.emplace_back(d.name(), 16 + 2 * c, d.intra(), d.algorithm());
+    clusters.emplace_back(d.name(), 16 + 2 * c, d.intra());
   }
   topology::Grid grid(std::move(clusters));
   for (ClusterId i = 0; i < cfg.clusters; ++i)
@@ -511,7 +461,6 @@ const topology::Grid& grid_named(const std::string& name) {
 }
 
 constexpr ClusterId kRoot = 1;
-constexpr Bytes kSegment = KiB(64);
 constexpr std::uint64_t kSeed = 11;
 
 std::vector<NodeId> all_ranks(const topology::Grid& grid) {
@@ -557,28 +506,6 @@ std::vector<Collective> collectives(const topology::Grid& grid) {
        },
        [ranks](sim::Network& net, Bytes m) {
          return outcome(ref::binomial(net, *ranks, m), net);
-       }},
-      {"flat",
-       [ranks](sim::Network& net, Bytes m) {
-         return outcome(run_flat_bcast(net, *ranks, m), net);
-       },
-       [ranks](sim::Network& net, Bytes m) {
-         return outcome(ref::flat(net, *ranks, m), net);
-       }},
-      {"chain",
-       [ranks](sim::Network& net, Bytes m) {
-         return outcome(run_chain_bcast(net, *ranks, m), net);
-       },
-       [ranks](sim::Network& net, Bytes m) {
-         return outcome(ref::chain(net, *ranks, m), net);
-       }},
-      {"segmented_chain",
-       [ranks](sim::Network& net, Bytes m) {
-         return outcome(run_segmented_chain_bcast(net, *ranks, m, kSegment),
-                        net);
-       },
-       [ranks](sim::Network& net, Bytes m) {
-         return outcome(ref::segmented_chain(net, *ranks, m, kSegment), net);
        }},
       hierarchical(IntraOrder::kRelayFirst),
       hierarchical(IntraOrder::kLocalFirst),
@@ -696,7 +623,6 @@ TEST(TerminalDeliveryEvents, OnlyDeliveriesThatSendAgainAreEvents) {
   // (clusters - 1).  Hierarchical scatter: one per remote coordinator.
   const std::vector<Pin> pins = {
       {"binomial", 31, 239},
-      {"flat", 0, 0},
       {"hierarchical_relay_first", 39, 203},
       {"hierarchical_local_first", 39, 203},
       {"grid_unaware_binomial", 31, 239},
@@ -746,7 +672,7 @@ TEST(OneCollectivePerNetwork, ASecondCollectiveOnAUsedNetworkThrows) {
   for (const Collective& c : collectives(grid)) {
     SCOPED_TRACE(c.name);
     sim::Network net(grid, {}, kSeed);
-    (void)run_flat_bcast(net, {0, 1}, KiB(1));
+    (void)run_binomial_bcast(net, {0, 1}, KiB(1));
     EXPECT_THROW((void)c.current(net, KiB(1)), LogicError);
   }
 }

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "support/error.hpp"
-
 namespace gridcast::plogp {
 namespace {
 
@@ -19,21 +17,7 @@ Params bare(Time L, Time gap) {
 
 TEST(Predict, SingleNodeIsFree) {
   const Params p = bare(0.001, 0.01);
-  for (const auto a :
-       {BcastAlgorithm::kFlat, BcastAlgorithm::kChain,
-        BcastAlgorithm::kBinomial, BcastAlgorithm::kSegmentedChain})
-    EXPECT_DOUBLE_EQ(predict_bcast(a, p, 1, MiB(1)), 0.0);
-}
-
-TEST(Predict, FlatClosedForm) {
-  const Params p = bare(0.001, 0.01);
-  // (n-1) gaps then one latency.
-  EXPECT_NEAR(predict_flat_bcast(p, 5, 100), 4 * 0.01 + 0.001, 1e-12);
-}
-
-TEST(Predict, ChainClosedForm) {
-  const Params p = bare(0.001, 0.01);
-  EXPECT_NEAR(predict_chain_bcast(p, 4, 100), 3 * (0.01 + 0.001), 1e-12);
+  EXPECT_DOUBLE_EQ(predict_binomial_bcast(p, 1, MiB(1)), 0.0);
 }
 
 TEST(Predict, BinomialTwoNodes) {
@@ -64,61 +48,6 @@ TEST(Predict, BinomialLogarithmicDepth) {
   EXPECT_NEAR(predict_binomial_bcast(p, 16, 1), 4.0, 1e-12);
 }
 
-TEST(Predict, BinomialBeatsFlatForManyNodes) {
-  const Params p = Params::latency_bandwidth(us(50), 100e6);
-  EXPECT_LT(predict_binomial_bcast(p, 64, MiB(1)),
-            predict_flat_bcast(p, 64, MiB(1)));
-}
-
-TEST(Predict, SegmentedChainBeatsChainForLargeMessages) {
-  const Params p = Params::latency_bandwidth(us(50), 100e6);
-  EXPECT_LT(predict_segmented_chain_bcast(p, 16, MiB(4), KiB(64)),
-            predict_chain_bcast(p, 16, MiB(4)));
-}
-
-TEST(Predict, SegmentedChainHandlesTail) {
-  const Params p = bare(0.001, 0.01);
-  // m = 250, segment = 100 -> 3 segments (100, 100, 50).
-  const Time t = predict_segmented_chain_bcast(p, 3, 250, 100);
-  EXPECT_GT(t, 0.0);
-  // Fill (2 hops) + 2 extra segment gaps.
-  EXPECT_NEAR(t, 2 * 0.011 + 2 * 0.01, 1e-12);
-}
-
-TEST(Predict, SegmentedChainZeroSegmentThrows) {
-  const Params p = bare(0.001, 0.01);
-  EXPECT_THROW((void)predict_segmented_chain_bcast(p, 3, 100, 0), LogicError);
-}
-
-TEST(Predict, DispatcherMatchesDirectCalls) {
-  const Params p = Params::latency_bandwidth(us(40), 110e6);
-  EXPECT_DOUBLE_EQ(predict_bcast(BcastAlgorithm::kFlat, p, 8, MiB(1)),
-                   predict_flat_bcast(p, 8, MiB(1)));
-  EXPECT_DOUBLE_EQ(predict_bcast(BcastAlgorithm::kBinomial, p, 8, MiB(1)),
-                   predict_binomial_bcast(p, 8, MiB(1)));
-}
-
-TEST(Predict, BestAlgorithmIsActuallyBest) {
-  const Params p = Params::latency_bandwidth(us(50), 100e6);
-  for (const std::uint32_t n : {2u, 8u, 32u}) {
-    for (const Bytes m : {KiB(1), MiB(1), MiB(4)}) {
-      const BcastAlgorithm best = best_bcast_algorithm(p, n, m);
-      const Time best_t = predict_bcast(best, p, n, m);
-      for (const auto a :
-           {BcastAlgorithm::kFlat, BcastAlgorithm::kChain,
-            BcastAlgorithm::kBinomial, BcastAlgorithm::kSegmentedChain})
-        EXPECT_LE(best_t, predict_bcast(a, p, n, m) + 1e-15);
-    }
-  }
-}
-
-TEST(Predict, ToStringCoversAll) {
-  EXPECT_EQ(to_string(BcastAlgorithm::kFlat), "flat");
-  EXPECT_EQ(to_string(BcastAlgorithm::kChain), "chain");
-  EXPECT_EQ(to_string(BcastAlgorithm::kBinomial), "binomial");
-  EXPECT_EQ(to_string(BcastAlgorithm::kSegmentedChain), "segmented-chain");
-}
-
 struct PredictCase {
   std::uint32_t nodes;
   Bytes size;
@@ -129,15 +58,10 @@ class PredictMonotone : public ::testing::TestWithParam<PredictCase> {};
 TEST_P(PredictMonotone, TimeGrowsWithNodesAndSize) {
   const Params p = Params::latency_bandwidth(us(60), 80e6);
   const auto [n, m] = GetParam();
-  for (const auto a :
-       {BcastAlgorithm::kFlat, BcastAlgorithm::kChain,
-        BcastAlgorithm::kBinomial}) {
-    EXPECT_LE(predict_bcast(a, p, n, m), predict_bcast(a, p, n + 1, m) + 1e-15)
-        << to_string(a);
-    EXPECT_LE(predict_bcast(a, p, n, m),
-              predict_bcast(a, p, n, m + KiB(64)) + 1e-15)
-        << to_string(a);
-  }
+  EXPECT_LE(predict_binomial_bcast(p, n, m),
+            predict_binomial_bcast(p, n + 1, m) + 1e-15);
+  EXPECT_LE(predict_binomial_bcast(p, n, m),
+            predict_binomial_bcast(p, n, m + KiB(64)) + 1e-15);
 }
 
 INSTANTIATE_TEST_SUITE_P(

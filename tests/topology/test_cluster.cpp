@@ -32,16 +32,6 @@ TEST(Cluster, InternalTimeMatchesPredictor) {
                    plogp::predict_binomial_bcast(p, 20, MiB(1)));
 }
 
-TEST(Cluster, AlgorithmSwitchChangesTime) {
-  const auto p = plogp::Params::latency_bandwidth(us(50), 1e8);
-  Cluster c("c", 24, p);
-  const Time binomial = c.internal_bcast_time(MiB(1));
-  c.set_algorithm(plogp::BcastAlgorithm::kFlat);
-  const Time flat = c.internal_bcast_time(MiB(1));
-  EXPECT_EQ(c.algorithm(), plogp::BcastAlgorithm::kFlat);
-  EXPECT_GT(flat, binomial);  // flat loses for 24 nodes
-}
-
 TEST(Cluster, TimeGrowsWithMessage) {
   const Cluster c("c", 16, plogp::Params::latency_bandwidth(us(50), 1e8));
   EXPECT_LT(c.internal_bcast_time(KiB(64)), c.internal_bcast_time(MiB(4)));

@@ -10,8 +10,9 @@
 // few include-graph constraints, which is exactly enough for the
 // invariants below and keeps the tool dependency-free and fast.
 //
-// Usage:
-//   gridcast_lint [--root=DIR] [--list-rules] [relative paths...]
+// Usage (`gridcast_lint --help` prints the flag table):
+//   gridcast_lint [--root=DIR] [relative paths...]
+//   gridcast_lint --list-rules
 //
 // Paths default to `src tools`.  Rules are scoped by path *relative to
 // the root*, so fixture trees exercise path-scoped rules by mirroring
@@ -31,7 +32,6 @@
 #include <fstream>
 // gridcast-lint: allow(iostream-library) -- the lint CLI prints diagnostics
 #include <iostream>
-#include <optional>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -39,9 +39,16 @@
 #include <string_view>
 #include <vector>
 
+// Header-only: the tool links nothing from the library it judges.
+#include "support/error.hpp"
+#include "support/flags.hpp"
+
 namespace fs = std::filesystem;
 
 namespace {
+
+namespace flags = gridcast::flags;
+using gridcast::InvalidInput;
 
 struct Finding {
   std::string path;  // relative to root, '/' separators
@@ -436,15 +443,12 @@ bool lintable(const fs::path& p) {
          ext == ".cxx";
 }
 
-std::optional<SourceFile> load(const fs::path& root, const fs::path& abs,
-                               std::vector<Finding>& findings) {
+SourceFile load(const fs::path& root, const fs::path& abs,
+               std::vector<Finding>& findings) {
   SourceFile f;
   f.rel = fs::relative(abs, root).generic_string();
   std::ifstream in(abs);
-  if (!in) {
-    std::cerr << "gridcast_lint: cannot read " << abs.string() << '\n';
-    return std::nullopt;
-  }
+  if (!in) throw InvalidInput("cannot read " + abs.string());
   for (std::string line; std::getline(in, line);) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     f.raw.push_back(std::move(line));
@@ -480,46 +484,39 @@ void lint_file(const SourceFile& f, std::vector<Finding>& findings) {
   }
 }
 
-int usage(std::ostream& os, int code) {
-  os << "usage: gridcast_lint [--root=DIR] [--list-rules] [paths...]\n"
-        "  Lints C++ sources under each path (default: src tools) against\n"
-        "  the repo determinism rules.  Paths are relative to --root\n"
-        "  (default: current directory).\n";
-  return code;
-}
+struct LintCli {
+  std::string root = ".";
+};
 
-}  // namespace
+enum Mode : unsigned { kList, kLint };
 
-int main(int argc, char** argv) {
-  fs::path root = fs::current_path();
-  std::vector<std::string> paths;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") return usage(std::cout, 0);
-    if (arg == "--list-rules") {
-      for (const auto& r : kRules)
-        std::cout << r.name << "  [" << r.scope << "]\n    " << r.what
-                  << '\n';
-      return 0;
-    }
-    if (arg.rfind("--root=", 0) == 0) {
-      root = fs::path(std::string(arg.substr(7)));
-      continue;
-    }
-    if (arg.rfind("--", 0) == 0) {
-      std::cerr << "gridcast_lint: unknown option '" << arg << "'\n";
-      return usage(std::cerr, 2);
-    }
-    paths.emplace_back(arg);
+constexpr flags::Mode kModes[] = {{"list", "--list-rules"},
+                                  {"lint", "", true}};
+
+constexpr flags::Flag<LintCli> kFlags[] = {
+    {"--root", "DIR", 1U << kLint,
+     "lint PATHS (default: src tools) relative to DIR (default: .)",
+     [](auto& c, auto& v) { c.root = v; }},
+    {"--list-rules", "", 1U << kList, "print each rule, its scope and why",
+     [](auto&, auto&) {}},
+};
+
+constexpr flags::Tool<LintCli> kTool = {"gridcast_lint", kModes, kFlags};
+
+int lint_main(const std::vector<std::string>& args) {
+  LintCli cli;
+  const flags::Parsed parsed = flags::parse(kTool, args, cli);
+  if (parsed.mode == kList) {
+    for (const auto& r : kRules)
+      std::cout << r.name << "  [" << r.scope << "]\n    " << r.what << '\n';
+    return 0;
   }
+  std::vector<std::string> paths = parsed.positionals;
   if (paths.empty()) paths = {"src", "tools"};
 
   std::error_code ec;
-  root = fs::canonical(root, ec);
-  if (ec) {
-    std::cerr << "gridcast_lint: bad --root: " << ec.message() << '\n';
-    return 2;
-  }
+  const fs::path root = fs::canonical(cli.root, ec);
+  if (ec) throw InvalidInput("bad --root: " + ec.message());
 
   std::vector<fs::path> files;
   for (const auto& p : paths) {
@@ -531,18 +528,14 @@ int main(int argc, char** argv) {
         if (e.is_regular_file() && lintable(e.path()))
           files.push_back(e.path());
     } else {
-      std::cerr << "gridcast_lint: no such path under root: " << p << '\n';
-      return 2;
+      throw InvalidInput("no such path under root: " + p);
     }
   }
   std::sort(files.begin(), files.end());
 
   std::vector<Finding> findings;
-  for (const auto& file : files) {
-    const auto f = load(root, file, findings);
-    if (!f) return 2;
-    lint_file(*f, findings);
-  }
+  for (const auto& file : files)
+    lint_file(load(root, file, findings), findings);
 
   for (const auto& fnd : findings)
     std::cout << fnd.path << ':' << fnd.line << ": error: [" << fnd.rule
@@ -553,4 +546,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return flags::run(kTool, argc, argv, std::cout, std::cerr, lint_main);
 }

@@ -75,7 +75,7 @@ constexpr flags::Flag<ServeCli> kFlags[] = {
      [](auto& c, auto& v) { c.service.instance_capacity = parse_size(v); }},
     {"--warm", "FILE", kAll, "first build the plans a request log needs",
      [](auto& c, auto& v) { c.warm_path = v; }},
-    {"--threads", "N", kAll, "build worker threads (default: 0 = inline)",
+    {"--threads", "N", kAll, "build workers of a report or --warm (0 = inline)",
      [](auto& c, auto& v) {
        c.threads = parse_count<std::size_t>(v, "--threads");
      }},
@@ -137,19 +137,22 @@ int run_tcp(int port, serve::PlanService& service) {
 
 int serve_main(const std::vector<std::string>& args) {
   ServeCli cli;
-  const auto mode = static_cast<Mode>(flags::parse(kTool, args, cli).mode);
+  const flags::Parsed parsed = flags::parse(kTool, args, cli);
+  const auto mode = static_cast<Mode>(parsed.mode);
   if (mode == kReport && cli.requests_path.empty())
     throw InvalidInput("--replay-report needs --requests=FILE");
+  // A mode row cannot say that --warm reads --threads in every mode.
+  if (parsed.has("--threads") && mode != kReport && !parsed.has("--warm"))
+    throw InvalidInput(std::string("option '--threads' does not apply to ")
+                           .append(kModes[mode].name) +
+                       " mode without --warm");
   std::string grid_name;
   const topology::Grid grid = exp::load_grid(cli.grid_arg, grid_name);
   serve::PlanService service(grid, grid_name, cli.service);
   ThreadPool pool(cli.threads);
   if (!cli.warm_path.empty()) {
     std::ifstream log = open_log(cli.warm_path);
-    const std::size_t built =
-        serve::warm_requests(service, serve::parse_request_log(log), pool);
-    std::cerr << "gridcast_serve: warmed " << built << " plans from "
-              << cli.warm_path << "\n";
+    (void)serve::warm_requests(service, serve::parse_request_log(log), pool);
   }
   switch (mode) {
     case kPort:
