@@ -264,18 +264,15 @@ io::BenchReport run_race_grid(const RaceGridSpec& spec, ThreadPool& pool) {
   if (!probe->supports(collective::Verb::kBcast))
     throw InvalidInput("backend '" + backend_name +
                        "' does not implement broadcast");
-  if (!probe->instance_only() && !spec.realise)
-    throw InvalidInput(
-        "backend '" + backend_name +
-        "' executes on a concrete grid and cannot time the race's sampled "
-        "Table 2 instances (instance_only() mismatch); pass --realise to "
-        "execute every draw on a synthetic grid realisation");
+  // A backend that executes on a concrete grid cannot time a sampled
+  // instance, so every draw is realised as one.
+  const bool realise = !probe->instance_only();
 
   // The shared backend of the sampled path.  Constructed without a grid:
   // instance-only backends ignore BackendOptions entirely, and holding the
   // probe grid's address past this scope would dangle.
   collective::BackendPtr shared_backend;
-  if (!spec.realise)
+  if (!realise)
     shared_backend = registry.make(backend_name, collective::BackendOptions{});
 
   const std::size_t n_points = counts.size();
@@ -286,7 +283,7 @@ io::BenchReport run_race_grid(const RaceGridSpec& spec, ThreadPool& pool) {
 
   io::BenchReport r;
   r.bench = "montecarlo";
-  r.grid = spec.realise ? "table2_realised" : "table2_sampled";
+  r.grid = realise ? "table2_realised" : "table2_sampled";
   r.mode = probe->mode_label();
   r.root = spec.root;
   r.seed = spec.seed;
@@ -345,7 +342,7 @@ io::BenchReport run_race_grid(const RaceGridSpec& spec, ThreadPool& pool) {
             collective::BackendPtr local;
             const collective::Backend* backend = shared_backend.get();
             const sched::Instance* inst = &drawn;
-            if (spec.realise) {
+            if (realise) {
               grid.emplace(realise_instance(drawn));
               derived.emplace(
                   sched::Instance::from_grid(*grid, spec.root, MiB(1)));
@@ -361,7 +358,7 @@ io::BenchReport run_race_grid(const RaceGridSpec& spec, ThreadPool& pool) {
             // info (and one O(n²) lower-bound walk) serves the whole field.
             memo.clear();
             const sched::SchedulerRuntimeInfo info(
-                *inst, spec.realise ? MiB(1) : Bytes{0},
+                *inst, realise ? MiB(1) : Bytes{0},
                 spec.options.completion, &memo);
             Time best = std::numeric_limits<Time>::infinity();
             for (std::size_t s = 0; s < n_comps; ++s) {

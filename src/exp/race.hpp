@@ -88,12 +88,10 @@ void refuse_sharded_timing(const RaceSpec& spec);
 /// convention).
 ///
 /// Instance-only backends ("plogp") time the sampled instances directly —
-/// the paper's configuration.  Grid-executing backends ("sim") need
-/// `realise = true`: each draw is realised as a synthetic grid
-/// (exp/realise.hpp) and the collective is executed message-level on it.
-/// Without the flag such a backend is a designed error — the
-/// `instance_only()` mismatch — because executing a draw is a different
-/// experiment than scoring it, and the switch should be explicit.
+/// the paper's configuration.  Grid-executing backends ("sim") cannot
+/// time an instance, so each draw is realised as a synthetic grid
+/// (exp/realise.hpp) and the collective is executed message-level on it:
+/// the backend alone decides whether draws are realised.
 struct RaceGridSpec {
   std::vector<std::string> sched_names;
   /// Parameter points; empty = `fig1_cluster_ladder()`.  Each >= 2, no
@@ -114,7 +112,6 @@ struct RaceGridSpec {
   /// the same instances.
   sched::HeuristicOptions options = {};
   double jitter = 0.05;  ///< executing backends only
-  bool realise = false;  ///< execute draws on synthetic grid realisations
   ParamRanges ranges = ParamRanges::paper();
   /// Relative tie tolerance for hit counting: a series hits a draw when
   /// its completion is within `best * (1 + hit_epsilon)`.  Every series
@@ -150,8 +147,7 @@ struct RaceGridSpec {
 /// report; sharded runs return the shard form (per-block partials) that
 /// `merge_race_shards` recombines.  Throws InvalidInput for unknown
 /// schedulers, a `can_schedule` refusal (a race cannot skip entries without
-/// skewing the hit denominator), an instance-only mismatch (see
-/// `RaceGridSpec::realise`), or a backend without broadcast support.
+/// skewing the hit denominator), or a backend without broadcast support.
 [[nodiscard]] io::BenchReport run_race_grid(const RaceGridSpec& spec,
                                             ThreadPool& pool);
 

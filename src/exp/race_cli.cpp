@@ -57,8 +57,8 @@ constexpr flags::Modes kSweep = in(Action::kRun), kRace = in(Action::kRace),
 
 /// In RaceCli::Action order; a sweep races a size ladder on a grid.
 constexpr flags::Mode kModes[] = {
-    {"race", "--race"}, {"merge", "--merge", true}, {"check", "--check"},
-    {"list", "--list-backends"}, {"sweep", ""}};
+    {"race", "--race"}, {"merge", "--merge", "OUT SHARD..."},
+    {"check", "--check"}, {"list", "--list-backends"}, {"sweep", ""}};
 
 constexpr flags::Flag<RaceArgs> kFlags[] = {
     {"--sched", "LIST", kRuns, "schedulers, or all (race: the paper's seven)",
@@ -130,9 +130,7 @@ constexpr flags::Flag<RaceArgs> kFlags[] = {
        if (a.race.iterations == 0)
          throw InvalidInput("--iters must be >= 1");
      }},
-    {"--realise", "", kRace, "execute each draw on a synthetic grid (sim)",
-     [](auto& a, auto&) { a.race.realise = true; }},
-    {"--merge", "", in(Action::kMerge), "OUT SHARD...: merge shards into OUT",
+    {"--merge", "", in(Action::kMerge), "merge the SHARD reports into OUT",
      [](auto&, auto&) {}},
     {"--check", "FILE", kCheck, "gate FILE against --baseline (exit 1)",
      [](auto& a, auto& v) { a.check_path = v; }},
@@ -339,8 +337,8 @@ int run_race_cli(const RaceCli& cli, std::ostream& out, std::ostream& err) {
       err << "raced " << report.series.size() << " series x "
           << report.sizes.size() << " cluster counts (" << report.iterations
           << " iterations/point, backend " << spec.backend << ", "
-          << report.mode << (spec.realise ? ", realised grids" : "")
-          << ", shard " << report.shard << "/" << report.shards << ")";
+          << report.mode << ", shard " << report.shard << "/"
+          << report.shards << ")";
       if (!cli.out_path.empty()) err << " -> " << cli.out_path;
       err << "\n";
       return 0;

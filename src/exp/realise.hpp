@@ -12,7 +12,8 @@
 /// closes that gap: it constructs a minimal concrete grid whose *derived*
 /// instance reproduces the sampled one bit-for-bit, so the message-level
 /// simulator can execute the very draws the analytic model scores — the
-/// "measured Monte-Carlo" extension behind `gridcast_race --race --realise`.
+/// "measured Monte-Carlo" extension behind `gridcast_race --race
+/// --backend=sim`.
 ///
 /// Construction: one two-rank cluster per sampled cluster (coordinator +
 /// one leaf) whose intra link has zero latency/overheads and a constant

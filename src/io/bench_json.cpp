@@ -677,6 +677,16 @@ BenchReport bench_from_json(const std::string& text) {
     if (!contains(keys, key) && carries(h, r))
       throw InvalidInput("bench JSON: missing key '" + key + "'");
   }
+  // Parse-then-write is the identity on accepted input: any other
+  // spelling of the same report (spacing, `1.50`, `0.0`) is refused where
+  // it first departs from the writer's.
+  const std::string written = bench_to_json(r);
+  if (written != text) {
+    const auto at = std::mismatch(text.begin(), text.end(), written.begin(),
+                                  written.end()).first - text.begin();
+    throw InvalidInput("bench JSON: not in the writer's spelling at offset " +
+                       std::to_string(at));
+  }
   return r;
 }
 

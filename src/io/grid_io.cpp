@@ -93,12 +93,13 @@ plogp::Params read_params(Lexer& lex) {
   return p;
 }
 
-/// read_params, naming the record in any error it raises: a grid has
-/// n(n-1) links, and a bare "latency must be a finite decimal number, got
-/// 'inf'" fits them all.
-plogp::Params read_record_params(Lexer& lex, const std::string& record) {
+/// `read()`, naming the record in any error it raises: a grid has n(n-1)
+/// links, and a bare "latency must be a finite decimal number, got 'inf'"
+/// fits them all.
+template <typename Read>
+auto read_record(const std::string& record, const Read& read) {
   try {
-    return read_params(lex);
+    return read();
   } catch (const InvalidInput& e) {
     throw InvalidInput(record + ": " + e.what());
   }
@@ -143,18 +144,19 @@ topology::Grid read_grid(std::istream& is) {
   for (std::uint64_t c = 0; c < n; ++c) {
     lex.expect("cluster");
     const std::string name = lex.word("cluster name");
-    const auto size =
-        parse_count<std::uint32_t>(lex.word("cluster size"), "cluster size");
-    if (size == 0) throw InvalidInput("cluster size must be positive");
     const std::string record =
         "cluster " + std::to_string(c) + " ('" + name + "')";
-    // The simulator runs the binomial tree whatever a file declares, so
-    // the model times only that tree and a file may declare only it.
-    const std::string algorithm = lex.word("intra algorithm");
-    if (algorithm != "binomial")
-      throw InvalidInput(record + ": intra algorithm must be 'binomial', " +
-                         "got '" + algorithm + "'");
-    clusters.emplace_back(name, size, read_record_params(lex, record));
+    clusters.push_back(read_record(record, [&] {
+      const auto size = parse_count<std::uint32_t>(lex.word("size"), "size");
+      if (size == 0) throw InvalidInput("size must be positive");
+      // The simulator runs the binomial tree whatever a file declares, so
+      // the model times only that tree and a file may declare only it.
+      const std::string algorithm = lex.word("intra algorithm");
+      if (algorithm != "binomial")
+        throw InvalidInput("intra algorithm must be 'binomial', got '" +
+                           algorithm + "'");
+      return topology::Cluster(name, size, read_params(lex));
+    }));
   }
 
   topology::Grid grid(std::move(clusters));
@@ -171,7 +173,8 @@ topology::Grid read_grid(std::istream& is) {
         "link " + std::to_string(from) + " -> " + std::to_string(to);
     if (grid.has_link(from, to))
       throw InvalidInput(record + " is given more than once");
-    grid.set_link(from, to, read_record_params(lex, record));
+    grid.set_link(from, to,
+                  read_record(record, [&] { return read_params(lex); }));
   }
   // Each record was validated as read; what is left is that none is missing.
   for (ClusterId i = 0; i < n; ++i)

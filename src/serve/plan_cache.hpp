@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "sched/schedule.hpp"
 #include "sched/scheduler_entry.hpp"
@@ -44,13 +43,6 @@ class SchedulePlanCache : public LruCache<PlanSignature, SchedulePlan> {
   /// bytes.
   explicit SchedulePlanCache(std::size_t capacity_bytes = kUnbounded)
       : LruCache(capacity_bytes, &plan_bytes) {}
-
-  /// Insert a built plan under its own signature (`LruCache::insert`).
-  PlanPtr insert(PlanPtr plan) {
-    GRIDCAST_ASSERT(plan != nullptr, "inserting a null plan");
-    const PlanSignature& sig = plan->signature;
-    return LruCache::insert(sig, std::move(plan));
-  }
 
   /// `LruCache::get`, asserting that `build` returned the plan for the
   /// signature it was asked for.

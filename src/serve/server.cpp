@@ -5,7 +5,6 @@
 #include <cmath>
 #include <istream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -146,7 +145,7 @@ PlanService::Served PlanService::serve(collective::Verb verb, ClusterId root,
   SchedulePlanCache::GetStats gs;
   PlanPtr plan = plans_.get(
       sig, [this](const PlanSignature& s) { return build_plan(s); }, &gs);
-  return Served{std::move(plan), gs.hit, gs.waited};
+  return Served{std::move(plan), gs.hit};
 }
 
 LineCommand parse_command(std::string_view line) {
@@ -263,27 +262,12 @@ double percentile(const std::vector<double>& sorted, double q) {
   return sorted[(k == 0 ? 1 : k) - 1];
 }
 
-/// Builds each of a batch's `pending` signatures across the pool, in
-/// order.  Builds are independent and deterministic, so the worker count
-/// cannot change any result.
-std::vector<PlanPtr> build_pending(PlanService& service,
-                                   const std::vector<PlanSignature>& pending,
-                                   ThreadPool& pool) {
-  std::vector<PlanPtr> built(pending.size());
-  pool.parallel_for(pending.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t j = b; j < e; ++j)
-      built[j] = service.build_plan(pending[j]);
-  });
-  return built;
-}
-
 }  // namespace
 
 io::BenchReport replay_requests(PlanService& service,
                                 const std::vector<ReplayRequest>& requests,
-                                ThreadPool& pool, const ReplayOptions& opts) {
+                                const ReplayOptions& opts) {
   if (requests.empty()) throw InvalidInput("serve replay: empty request log");
-  const std::size_t batch = opts.batch == 0 ? 1 : opts.batch;
   const std::size_t sessions = opts.sessions == 0 ? 1 : opts.sessions;
 
   using clock = std::chrono::steady_clock;
@@ -292,77 +276,33 @@ io::BenchReport replay_requests(PlanService& service,
   };
 
   // ---- Deterministic pass: the report's exact series are *defined* as
-  // serial one-request-at-a-time semantics from a cold cache.  They are
-  // computed against a private model cache configured like the live one
-  // (same capacity), so they are a pure function of
-  // (service configuration, log): the worker count, the session count
-  // and however warm the live cache already is (e.g. after --warm) can
-  // never change a byte of them.
+  // a cold daemon serving one request at a time.  Each request is a `get`
+  // on a private model cache with the live one's capacity, so the series
+  // are a pure function of (service configuration, log): the session
+  // count and however warm the live cache already is (e.g. after --warm)
+  // can never change a byte of them.
   SchedulePlanCache model(service.plans().capacity());
-  // Every distinct signature is built once per replay, in parallel across
-  // the pool; the serial accounting below replays inserts (and, under
-  // eviction, re-inserts) from here.
-  std::map<PlanSignature, PlanPtr> built_by_sig;
-  std::uint64_t hits = 0;
-  std::uint64_t plans_built = 0;
+  const auto build = [&service](const PlanSignature& sig) {
+    return service.build_plan(sig);
+  };
+  // Each signature's first request: a repeat inside that request's
+  // window would have waited on its build latch.
+  std::map<PlanSignature, std::size_t> first_request;
   std::uint64_t build_waits = 0;
   double predicted_sum = 0.0;
   std::vector<double> latency;
   const bool serial_timing = opts.timing && sessions <= 1;
   if (serial_timing) latency.reserve(requests.size());
   const auto t_start = clock::now();
-
-  for (std::size_t lo = 0; lo < requests.size(); lo += batch) {
-    const std::size_t hi = std::min(lo + batch, requests.size());
-    const std::size_t n = hi - lo;
-
-    // Phase 1 (serial): signatures, plus this batch's build list — each
-    // distinct signature not built earlier in the replay.  A repeat of a
-    // just-scheduled signature inside the batch is the deterministic
-    // `build_waits` model: had the batch run concurrently, that request
-    // would have waited on the first requester's build latch.
-    std::vector<PlanSignature> sig;
-    sig.reserve(n);
-    std::vector<PlanSignature> pending;
-    std::set<PlanSignature> scheduled;
-    for (std::size_t i = 0; i < n; ++i) {
-      const ReplayRequest& rq = requests[lo + i];
-      sig.push_back(service.signature_for(rq.verb, rq.root, rq.size));
-      if (!built_by_sig.contains(sig[i])) {
-        if (scheduled.insert(sig[i]).second)
-          pending.push_back(sig[i]);
-        else
-          ++build_waits;
-      }
-    }
-
-    // Phase 2 (parallel): build the batch's new signatures across the
-    // pool.
-    const auto t_build = clock::now();
-    std::vector<PlanPtr> built = build_pending(service, pending, pool);
-    for (std::size_t j = 0; j < pending.size(); ++j)
-      built_by_sig[pending[j]] = std::move(built[j]);
-    const double build_s = serial_timing ? seconds_since(t_build) : 0.0;
-
-    // Phase 3 (serial): replay the batch one request at a time against
-    // the model cache — find, and on a miss insert the prebuilt plan —
-    // so hit/miss and eviction accounting are exactly the serial cold
-    // daemon's.  A request's latency includes the batch build it waited
-    // on when it missed.
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto t0 = clock::now();
-      PlanPtr p = model.find(sig[i]);
-      const bool missed = p == nullptr;
-      if (missed) {
-        ++plans_built;
-        p = model.insert(built_by_sig[sig[i]]);
-      } else {
-        ++hits;
-      }
-      predicted_sum += p->predicted_makespan;
-      if (serial_timing)
-        latency.push_back(seconds_since(t0) + (missed ? build_s : 0.0));
-    }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const ReplayRequest& rq = requests[i];
+    const auto t0 = clock::now();
+    const PlanSignature sig = service.signature_for(rq.verb, rq.root, rq.size);
+    predicted_sum += model.get(sig, build)->predicted_makespan;
+    if (serial_timing) latency.push_back(seconds_since(t0));
+    const auto [first, fresh] = first_request.try_emplace(sig, i);
+    if (!fresh && first->second / kBuildWaitWindow == i / kBuildWaitWindow)
+      ++build_waits;
   }
   double wall_s = seconds_since(t_start);
 
@@ -411,13 +351,12 @@ io::BenchReport replay_requests(PlanService& service,
   r.mode = "predicted";
   r.sizes = {total};
   const auto count = static_cast<double>(total);
-  r.series.push_back(
-      value_cell("hit_rate", static_cast<double>(hits) / count));
-  r.series.push_back(value_cell("hits", static_cast<double>(hits)));
-  r.series.push_back(
-      value_cell("misses", static_cast<double>(total - hits)));
-  r.series.push_back(
-      value_cell("plans_built", static_cast<double>(plans_built)));
+  const auto hits = static_cast<double>(model.hits());
+  const auto misses = static_cast<double>(model.misses());
+  r.series.push_back(value_cell("hit_rate", hits / count));
+  r.series.push_back(value_cell("hits", hits));
+  r.series.push_back(value_cell("misses", misses));
+  r.series.push_back(value_cell("plans_built", misses));
   r.series.push_back(
       value_cell("build_waits", static_cast<double>(build_waits)));
   r.series.push_back(
@@ -450,33 +389,17 @@ io::BenchReport replay_requests(PlanService& service,
 }
 
 std::size_t warm_requests(PlanService& service,
+                          const std::vector<ReplayRequest>& requests) {
+  std::size_t misses = 0;
+  for (const ReplayRequest& rq : requests)
+    if (!service.serve(rq.verb, rq.root, rq.size).hit) ++misses;
+  return misses;
+}
+
+std::size_t warm_requests(PlanService& service,
                           const std::vector<ReplayRequest>& requests,
-                          ThreadPool& pool, std::size_t batch) {
-  if (batch == 0) batch = 1;
-  std::size_t total_built = 0;
-  for (std::size_t lo = 0; lo < requests.size(); lo += batch) {
-    const std::size_t hi = std::min(lo + batch, requests.size());
-
-    // Distinct signatures of this batch not already resident.
-    std::vector<PlanSignature> pending;
-    std::set<PlanSignature> scheduled;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const ReplayRequest& rq = requests[i];
-      const PlanSignature sig =
-          service.signature_for(rq.verb, rq.root, rq.size);
-      if (!scheduled.contains(sig) && service.plans().find(sig) == nullptr) {
-        scheduled.insert(sig);
-        pending.push_back(sig);
-      }
-    }
-
-    // Serial inserts in request order: a deterministic LRU and eviction
-    // history whatever ran where, exactly like replay's.
-    for (auto& p : build_pending(service, pending, pool))
-      (void)service.plans().insert(std::move(p));
-    total_built += pending.size();
-  }
-  return total_built;
+                          ThreadPool& /*pool*/) {
+  return warm_requests(service, requests);
 }
 
 }  // namespace gridcast::serve

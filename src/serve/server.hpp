@@ -24,10 +24,8 @@
 ///
 /// Requests speak a one-line-per-request protocol (`handle_line`), and a
 /// whole request log can be *replayed* into a `"bench": "serve"`
-/// BenchReport (`replay_requests`): misses batch across the thread pool
-/// while the accounting stays equal to serial one-request-at-a-time
-/// semantics, so the default report is byte-identical for every thread
-/// count — only the opt-in timing series depend on the host.
+/// BenchReport (`replay_requests`).  Every plan is built through one path,
+/// the plan cache's latched `get`.
 namespace gridcast::serve {
 
 /// Service configuration (the tool's flags, minus I/O concerns).
@@ -76,13 +74,10 @@ class PlanService {
   [[nodiscard]] PlanPtr plan_for(collective::Verb verb, ClusterId root,
                                  Bytes m);
 
-  /// One served request, with how it was answered: from residency
-  /// (`hit`), by waiting on another requester's in-flight build of the
-  /// same signature (`waited`), or by building (neither).
+  /// One served request, and whether residency answered it (`hit`).
   struct Served {
     PlanPtr plan;
     bool hit = false;
-    bool waited = false;
   };
 
   /// The full request path behind every front-end: `signature_for`, then
@@ -122,8 +117,6 @@ class PlanService {
       const noexcept {
     return comps_;
   }
-  [[nodiscard]] std::uint64_t grid_hash() const noexcept { return grid_hash_; }
-  [[nodiscard]] std::uint64_t sched_rev() const noexcept { return sched_rev_; }
   [[nodiscard]] SchedulePlanCache& plans() noexcept { return plans_; }
   [[nodiscard]] const SchedulePlanCache& plans() const noexcept {
     return plans_;
@@ -180,14 +173,10 @@ struct LineCommand {
 [[nodiscard]] std::vector<ReplayRequest> parse_request_log(std::istream& in);
 
 struct ReplayOptions {
-  /// Requests per batch: each batch's distinct missing plans build
-  /// across the pool before the batch is accounted serially.  The batch
-  /// is also the deterministic `build_waits` window (see below).
-  std::size_t batch = 64;
   /// Add the host-dependent series (requests_per_s, latency_p50_s,
   /// latency_p99_s) to the report.  Off by default so the report is
-  /// byte-identical across machines, runs and thread counts; the CI
-  /// throughput gate opts in.
+  /// byte-identical across machines and runs; the CI throughput gate
+  /// opts in.
   bool timing = false;
   /// Concurrent replay sessions: with `sessions > 1` the log is split
   /// contiguously and each shard is driven through the live request path
@@ -199,36 +188,39 @@ struct ReplayOptions {
   std::size_t sessions = 1;
 };
 
+/// The `build_waits` window, in requests: see `replay_requests`.
+inline constexpr std::size_t kBuildWaitWindow = 64;
+
 /// Replay `requests` through the service and report the outcome as a
 /// `"bench": "serve"` BenchReport: the axis is the request count, and
 /// the deterministic series (hit_rate, hits, misses, plans_built,
 /// build_waits, evictions, predicted_sum_s) are exact.
 ///
-/// Accounting is defined as *serial one-request-at-a-time semantics from
-/// a cold cache*, computed against a private model cache configured like
-/// the service's (same capacity) — so the report is
-/// a pure function of (service configuration, log): byte-identical for
-/// every worker count, every session count, and regardless of how warm
-/// the live cache already is.  `build_waits` is the one batch-scoped
-/// series: it counts the requests that would have waited on an earlier
-/// same-batch requester's in-flight build had the batch run
-/// concurrently (0 at `batch == 1`); every other series is additionally
-/// invariant under `batch`.  Each distinct signature is built once per
-/// replay (in parallel across `pool`); `plans_built` reports the builds
-/// the serial cold daemon would have run, which under eviction can
-/// exceed the builds actually executed.  Throws InvalidInput on an
-/// empty log.
+/// The exact series come from one serial pass, in request order, over a
+/// private plan cache with the service's capacity: each request is a
+/// `get` that builds on a miss, so hits, misses (= plans_built) and
+/// evictions are those of a cold daemon serving one request at a time.
+/// The report is a pure function of (service configuration, log):
+/// byte-identical for every session count and however warm the live
+/// cache already is.  `build_waits` counts, in each window of
+/// `kBuildWaitWindow` requests, the repeats of a signature first
+/// requested in that window: the requests that would have waited on the
+/// first requester's build had the window run concurrently.  Throws
+/// InvalidInput on an empty log.
 [[nodiscard]] io::BenchReport replay_requests(
     PlanService& service, const std::vector<ReplayRequest>& requests,
-    ThreadPool& pool, const ReplayOptions& opts = {});
+    const ReplayOptions& opts = {});
 
-/// Warm the service's *live* plan cache from a request log: per batch,
-/// the distinct signatures not already resident build across `pool` and
-/// insert in request order — the same batched build path replay uses,
-/// against the real cache.  Warming traffic is ordinary traffic: it
-/// shows up in the `stats` counters.  Returns the number of plans built.
+/// Warm the service's *live* plan cache from a request log: `serve` each
+/// request in turn.  Warming is ordinary traffic, counted in `stats`
+/// like any other.  Returns the number of misses.
+std::size_t warm_requests(PlanService& service,
+                          const std::vector<ReplayRequest>& requests);
+
+/// `warm_requests` for callers that still pass a pool; the pool is
+/// unused.
 std::size_t warm_requests(PlanService& service,
                           const std::vector<ReplayRequest>& requests,
-                          ThreadPool& pool, std::size_t batch = 64);
+                          ThreadPool& pool);
 
 }  // namespace gridcast::serve

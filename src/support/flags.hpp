@@ -26,7 +26,9 @@ using Modes = std::uint32_t;
 struct Mode {
   std::string_view name;
   std::string_view selector;  ///< the flag that picks it; empty = default
-  bool positionals = false;   ///< whether it takes positional arguments
+  /// What its positional arguments are, e.g. "OUT SHARD..."; empty = it
+  /// takes none.
+  std::string_view positionals = {};
 };
 
 template <typename Cli>
@@ -71,7 +73,7 @@ Parsed parse(const Tool<Cli>& tool, const std::vector<std::string>& args,
   const Mode& mode = tool.modes[p.mode];
   for (const std::string& arg : args) {
     if (!arg.starts_with("--")) {
-      if (!mode.positionals)
+      if (mode.positionals.empty())
         throw InvalidInput("unexpected argument '" + arg + "' (see --help)");
       p.positionals.push_back(arg);
       continue;
@@ -100,7 +102,8 @@ Parsed parse(const Tool<Cli>& tool, const std::vector<std::string>& args,
   return p;
 }
 
-/// The `--help` text: every row once, with the modes that read it.
+/// The `--help` text: a usage line per mode that takes positional
+/// arguments, then every row once, with the modes that read it.
 template <typename Cli>
 std::string help(const Tool<Cli>& tool) {
   std::vector<std::string> spelled;
@@ -110,8 +113,19 @@ std::string help(const Tool<Cli>& tool) {
                                           .append(f.value));
     width = std::max(width, spelled.back().size());
   }
-  std::string out = std::string("usage: ").append(tool.name).append(
-      " [--FLAG[=VALUE]]...\nThe mode is the first whose flag is given, else ");
+  const auto usage = [&](std::string_view selector,
+                         std::string_view positionals) {
+    std::string line(tool.name);
+    if (!selector.empty()) line.append(" ").append(selector);
+    line.append(" [--FLAG[=VALUE]]...");
+    if (!positionals.empty()) line.append(" ").append(positionals);
+    return line + "\n";
+  };
+  std::string out = "usage: " + usage("", tool.modes.back().positionals);
+  for (const Mode& m : tool.modes)
+    if (!m.selector.empty() && !m.positionals.empty())
+      out += "       " + usage(m.selector, m.positionals);
+  out.append("The mode is the first whose flag is given, else ");
   out.append(tool.modes.back().name).append(".\n\n");
   for (std::size_t i = 0; i < spelled.size(); ++i) {
     const Flag<Cli>& f = tool.flags[i];

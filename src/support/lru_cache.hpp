@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <utility>
 
 #include "support/error.hpp"
 
@@ -51,20 +50,9 @@ class LruCache {
   LruCache& operator=(const LruCache&) = delete;
 
   /// The resident value for `key`, promoted to most-recently-used, or
-  /// null.  Counts exactly one hit or one miss.  Thread-safe.
-  [[nodiscard]] Ptr find(const Key& key) {
-    std::lock_guard lk(mu_);
-    Ptr value = resident(key);
-    if (value != nullptr)
-      hits_.fetch_add(1, std::memory_order_relaxed);
-    else
-      misses_.fetch_add(1, std::memory_order_relaxed);
-    return value;
-  }
-
-  /// `find` that counts hits only, for front-ends that answer a hit now
-  /// and hand a miss to a later `get`: that `get` counts the miss, so the
-  /// request still lands in exactly one counter.  Thread-safe.
+  /// null.  Counts a hit, never a miss: it is for front-ends that answer
+  /// a hit now and hand a miss to a later `get`, which counts the miss,
+  /// so the request still lands in exactly one counter.  Thread-safe.
   [[nodiscard]] Ptr peek(const Key& key) {
     std::lock_guard lk(mu_);
     Ptr value = resident(key);
@@ -72,25 +60,17 @@ class LruCache {
     return value;
   }
 
-  /// Insert a value, counting neither hit nor miss.  The first insertion
-  /// wins: if `key` is already resident, that value is promoted and
-  /// returned, so every caller holds the same object.  Thread-safe.
-  Ptr insert(const Key& key, Ptr value) {
-    GRIDCAST_ASSERT(value != nullptr, "inserting a null value");
-    std::lock_guard lk(mu_);
-    return insert_locked(key, std::move(value));
-  }
-
   /// Per-request outcome of `get`, for front-ends that report it.
   struct GetStats {
-    bool hit = false;     ///< answered from residency
-    bool waited = false;  ///< answered by waiting on another's build
+    bool hit = false;  ///< answered from residency
   };
 
-  /// `find`, and on a miss `build(key)` then `insert`, through the
-  /// build-once latch.  A build failure reaches every waiter and clears
-  /// the latch, so the next requester builds again.  `build` must not
-  /// request its own key from this cache (it would wait on itself).
+  /// The resident value for `key` (a hit), or on a miss `build(key)`,
+  /// inserted, through the build-once latch.  Counts exactly one hit or
+  /// one miss, so serial `get`s are a plain LRU memo.  A build failure
+  /// reaches every waiter and clears the latch, so the next requester
+  /// builds again.  `build` must not request its own key from this cache
+  /// (it would wait on itself).
   template <typename Build>
   [[nodiscard]] Ptr get(const Key& key, const Build& build,
                         GetStats* stats = nullptr) {
@@ -105,7 +85,6 @@ class LruCache {
       // Someone is building this key: wait for their result without the
       // lock, so hits and other keys' builds proceed.
       build_waits_.fetch_add(1, std::memory_order_relaxed);
-      if (stats != nullptr) stats->waited = true;
       const std::shared_future<Ptr> result = it->second;
       lk.unlock();
       return result.get();  // rethrows the build's failure, if any
@@ -128,7 +107,7 @@ class LruCache {
     // Insert and clear the latch in one step: a later requester finds
     // either the latch or the resident value, never neither.
     lk.lock();
-    value = insert_locked(key, std::move(value));
+    insert_locked(key, value);
     inflight_.erase(key);
     lk.unlock();
     latch.set_value(value);
@@ -184,17 +163,16 @@ class LruCache {
     return it->second.value;
   }
 
-  /// Caller holds `mu_`.
-  Ptr insert_locked(const Key& key, Ptr value) {
+  /// Caller holds `mu_` and the latch for `key`, so `key` is not
+  /// resident: only the latch holder inserts it.
+  void insert_locked(const Key& key, const Ptr& value) {
     const auto [it, fresh] = map_.try_emplace(key);
-    if (!fresh) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru);
-      return it->second.value;
-    }
+    GRIDCAST_ASSERT(fresh, "inserting a resident key");
     lru_.push_front(key);
     it->second = Entry{value, charge_(*value), lru_.begin()};
     bytes_ += it->second.bytes;
-    // May evict the fresh entry itself; `value` still holds it.
+    // May evict the fresh entry itself; the caller's `value` still holds
+    // it.
     while (bytes_ > capacity_) {
       const auto victim = map_.find(lru_.back());
       bytes_ -= victim->second.bytes;
@@ -202,7 +180,6 @@ class LruCache {
       lru_.pop_back();
       evictions_.fetch_add(1, std::memory_order_relaxed);
     }
-    return value;
   }
 
   const std::size_t capacity_;

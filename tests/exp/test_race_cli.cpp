@@ -403,8 +403,6 @@ TEST(RaceGridParse, RaceFlagsAndDefaults) {
   EXPECT_EQ(cli.race.iterations, 77u);
   EXPECT_EQ(cli.race.seed, 3u);
   EXPECT_EQ(cli.race.backend, "plogp");
-  EXPECT_FALSE(cli.race.realise);
-  EXPECT_TRUE(parse_race_cli({"--race", "--realise"}).race.realise);
   // Shard flags flow through to the race spec.
   EXPECT_EQ(parse_race_cli({"--race", "--shard=1/3"}).race.shard.shards, 3u);
 }
@@ -426,7 +424,6 @@ TEST(RaceGridParse, RejectsSweepOnlyAndMalformedFlags) {
                InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--clusters=3"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--iters=5"}), InvalidInput);
-  EXPECT_THROW((void)parse_race_cli({"--realise"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--race", "--iters=0"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--race", "--clusters=5-3"}),
                InvalidInput);
@@ -448,11 +445,10 @@ TEST(RaceGrid, ShardCountsOneTwoSevenAreByteIdentical) {
   // count, for the analytic backend and for the executing backend over
   // realised draws.
   ThreadPool pool(2);
-  for (const bool realise : {false, true}) {
+  for (const bool sim : {false, true}) {
     RaceGridSpec spec = tiny_race();
-    spec.backend = realise ? "sim" : "plogp";
-    spec.realise = realise;
-    spec.jitter = realise ? 0.1 : 0.0;
+    spec.backend = sim ? "sim" : "plogp";
+    spec.jitter = sim ? 0.1 : 0.0;
 
     spec.shard = {1, 0};
     const std::string unsharded =
@@ -468,7 +464,7 @@ TEST(RaceGrid, ShardCountsOneTwoSevenAreByteIdentical) {
       // Merge order must not matter; rotate the inputs.
       std::rotate(parts.begin(), parts.begin() + 1, parts.end());
       EXPECT_EQ(io::bench_to_json(merge_race_shards(parts)), unsharded)
-          << (realise ? "sim" : "plogp") << " x " << shards << " shards";
+          << spec.backend << " x " << shards << " shards";
     }
   }
 }
@@ -476,7 +472,6 @@ TEST(RaceGrid, ShardCountsOneTwoSevenAreByteIdentical) {
 TEST(RaceGrid, ThreadCountDoesNotChangeTheBytes) {
   RaceGridSpec spec = tiny_race();
   spec.backend = "sim";
-  spec.realise = true;
   spec.jitter = 0.05;
   ThreadPool inline_pool(0);
   ThreadPool threaded(5);
@@ -491,11 +486,10 @@ TEST(RaceGrid, AddingACompetitorLeavesExistingSeriesUntouched) {
   // there.  Makespans must be bit-identical; hit counts may legitimately
   // change (the newcomer can lower the global minimum).
   ThreadPool pool(0);
-  for (const bool realise : {false, true}) {
+  for (const bool sim : {false, true}) {
     RaceGridSpec small = tiny_race();
-    small.backend = realise ? "sim" : "plogp";
-    small.realise = realise;
-    small.jitter = realise ? 0.1 : 0.0;
+    small.backend = sim ? "sim" : "plogp";
+    small.jitter = sim ? 0.1 : 0.0;
     RaceGridSpec grown = small;
     grown.sched_names = {"FlatTree", "ECEF-LAT", "ECEF"};
 
@@ -661,24 +655,6 @@ TEST(RaceGrid, MergeRejectsBadShardSets) {
   EXPECT_THROW((void)merge_race_shards(bad), InvalidInput);
 }
 
-TEST(RaceGrid, RealiseParityWithTheSampledPath) {
-  // plogp over realised grids must reproduce plogp over the raw draws to
-  // the last bit: the realisation is exact and the analytic backend only
-  // sees the (identical) instance.  Only the grid label differs.
-  ThreadPool pool(0);
-  RaceGridSpec spec = tiny_race();
-  const io::BenchReport raw = run_race_grid(spec, pool);
-  spec.realise = true;
-  const io::BenchReport realised = run_race_grid(spec, pool);
-  EXPECT_EQ(raw.grid, "table2_sampled");
-  EXPECT_EQ(realised.grid, "table2_realised");
-  ASSERT_EQ(raw.series.size(), realised.series.size());
-  for (std::size_t s = 0; s < raw.series.size(); ++s) {
-    EXPECT_EQ(raw.series[s].makespan_s, realised.series[s].makespan_s);
-    EXPECT_EQ(raw.series[s].hits, realised.series[s].hits);
-  }
-}
-
 TEST(RaceGrid, GoldenReportIsStable) {
   // A tiny pinned race compared field by field against the checked-in
   // expectation, parsed by the strict bench_json reader — so silent
@@ -746,14 +722,13 @@ TEST(RaceCliErrors, OneLineDiagnosticsAndNonZeroExit) {
     return code;
   };
 
-  // instance_only() mismatch: an executing backend without --realise.
+  // The backend decides whether draws are realised: an executing
+  // backend races realised grids unasked, and --realise is no option.
   std::string diag;
-  EXPECT_NE(run({"--race", "--backend=sim", "--clusters=3", "--iters=2"},
-                &diag),
+  EXPECT_EQ(run({"--race", "--backend=sim", "--clusters=3", "--iters=2"}),
             0);
-  EXPECT_NE(diag.find("instance_only"), std::string::npos);
-  EXPECT_NE(diag.find("--realise"), std::string::npos);
-  EXPECT_EQ(diag.find('\n'), diag.size() - 1) << diag;  // one line
+  EXPECT_EQ(run({"--race", "--realise"}, &diag), 2);
+  EXPECT_EQ(diag, "gridcast_race: unknown option '--realise' (see --help)\n");
 
   // Unknown scheduler, listing what is registered.
   EXPECT_NE(run({"--race", "--sched=NoSuchHeuristic", "--iters=2"}, &diag),
@@ -840,8 +815,8 @@ TEST(RaceCliErrors, JitterOutsideItsRangeIsRejectedAtParseTime) {
     for (const auto& form :
          {std::vector<std::string>{"--backend=sim", "--sched=FlatTree",
                                    "--sizes=1M"},
-          std::vector<std::string>{"--race", "--backend=sim", "--realise",
-                                   "--clusters=3", "--iters=2"}}) {
+          std::vector<std::string>{"--race", "--backend=sim", "--clusters=3",
+                                   "--iters=2"}}) {
       std::vector<std::string> args = form;
       args.push_back("--jitter=" + v);
       EXPECT_THROW((void)parse_race_cli(args), InvalidInput) << v;

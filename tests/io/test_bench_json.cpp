@@ -10,6 +10,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -643,6 +644,29 @@ TEST(BenchJson, MisspeltSeriesKeyIsRejectedNotIgnored) {
   ASSERT_NE(wall, std::string::npos);
   measured.replace(wall, 13, "\"wall_time\"");
   expect_rejected(measured, "unknown key 'wall_time'");
+}
+
+TEST(BenchJson, OnlyTheWritersSpellingIsAccepted) {
+  // Single-edit mutants of a checked-in report that parse to the report
+  // itself: each used to be accepted, so parse-then-write was not the
+  // identity.  Each is refused at the offset where it leaves the
+  // writer's spelling.
+  const std::string text = slurp(source_root() / "BENCH_baseline_serve.json");
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"\"root\": 0", "\"root\":  0"},
+        {"[0.8125]", "[0.81250]"},
+        {"\"makespan_s\": [0]}", "\"makespan_s\": [0.0]}"}}) {
+    SCOPED_TRACE(to);
+    std::string mutant = text;
+    const std::size_t at = mutant.find(from);
+    ASSERT_NE(at, std::string::npos);
+    mutant.replace(at, from.size(), to);
+    const auto offset = std::mismatch(text.begin(), text.end(),
+                                      mutant.begin()).first - text.begin();
+    expect_rejected(mutant,
+                    "bench JSON: not in the writer's spelling at offset " +
+                        std::to_string(offset));
+  }
 }
 
 TEST(BenchJson, DeepNestingIsRefusedNotACrash) {

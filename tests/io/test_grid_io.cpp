@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "sched/instance.hpp"
 #include "topology/generator.hpp"
@@ -121,8 +122,8 @@ TEST(GridIo, ClusterSizeAbove32BitsRejectedNotTruncated) {
     std::string bad = text;
     bad.replace(pos, 4, " " + big + " ");
     const std::string diag = rejection(bad);
-    EXPECT_EQ(diag, "cluster size must be a decimal integer in [0, "
-                    "4294967295], got '" + big + "'");
+    EXPECT_EQ(diag, "cluster 0 ('Orsay-A'): size must be a decimal integer "
+                    "in [0, 4294967295], got '" + big + "'");
   }
   std::string widest = text;
   widest.replace(pos, 4, " 4294967295 ");
@@ -190,6 +191,20 @@ TEST(GridIo, AnyIntraAlgorithmButBinomialIsRefused) {
   }
 }
 
+TEST(GridIo, ABadClusterSizeIsNamedInTheError) {
+  // The size was the one field of a cluster record read without naming
+  // the record.
+  for (const auto& [size, diag] :
+       {std::pair<std::string, std::string>{"0", "size must be positive"},
+        {"4x", "size must be a decimal integer in [0, 4294967295], got "
+               "'4x'"}}) {
+    SCOPED_TRACE(size);
+    std::string text = two_cluster_grid("1e-05", "0.01", "0.1");
+    text.replace(text.find("cluster b 4 "), 12, "cluster b " + size + " ");
+    EXPECT_EQ(rejection(text), "cluster 1 ('b'): " + diag);
+  }
+}
+
 TEST(GridIo, NumbersAreSpelledAsTheWriterSpellsThem) {
   // std::stod read a hex float, a '+' and an exponent-spelt size, none of
   // which write_grid emits.
@@ -202,8 +217,8 @@ TEST(GridIo, NumbersAreSpelledAsTheWriterSpellsThem) {
   std::string text = two_cluster_grid("1e-05", "0.01", "0.1");
   text.replace(text.find(" 4 "), 3, " 3.1e1 ");
   EXPECT_EQ(rejection(text),
-            "cluster size must be a decimal integer in [0, 4294967295], "
-            "got '3.1e1'");
+            "cluster 0 ('a'): size must be a decimal integer in [0, "
+            "4294967295], got '3.1e1'");
 }
 
 TEST(GridIo, SampleSizesAboveTwoToThe53RoundTripExactly) {

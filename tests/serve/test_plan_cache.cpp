@@ -27,20 +27,23 @@ PlanPtr fake_plan(const PlanSignature& sig) {
 
 std::size_t one_plan() { return SchedulePlanCache::plan_bytes(*fake_plan(sig_of(0))); }
 
-TEST(PlanCache, FindMissesThenHits) {
+/// The plan for `bucket`, built on a miss.
+PlanPtr get_plan(SchedulePlanCache& cache, std::uint32_t bucket) {
+  return cache.get(sig_of(bucket), fake_plan);
+}
+
+TEST(PlanCache, GetMissesThenHits) {
   SchedulePlanCache cache;
   EXPECT_EQ(cache.capacity(), SchedulePlanCache::kUnbounded);
-  EXPECT_EQ(cache.find(sig_of(10)), nullptr);
-  EXPECT_EQ(cache.misses(), 1u);
-
-  const PlanPtr resident = cache.insert(fake_plan(sig_of(10)));
+  const PlanPtr resident = get_plan(cache, 10);
   ASSERT_NE(resident, nullptr);
+  EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(cache.bytes_in_use(), one_plan());
 
-  EXPECT_EQ(cache.find(sig_of(10)).get(), resident.get());
+  EXPECT_EQ(get_plan(cache, 10).get(), resident.get());
   EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.find(sig_of(11)), nullptr);
+  EXPECT_EQ(get_plan(cache, 11)->signature, sig_of(11));
   EXPECT_EQ(cache.misses(), 2u);
 }
 
@@ -72,43 +75,32 @@ TEST(PlanCache, GetBuildsExactlyOncePerSignature) {
   }
   EXPECT_EQ(builds, 6);
   EXPECT_EQ(cache.entries(), 6u);
-  EXPECT_EQ(cache.find(base).get(), a.get());
-}
-
-TEST(PlanCache, FirstInsertWinsOnEqualSignatures) {
-  SchedulePlanCache cache;
-  const PlanPtr first = cache.insert(fake_plan(sig_of(30)));
-  const PlanPtr second = cache.insert(fake_plan(sig_of(30)));
-  // The lost build race hands back the resident object, so every caller
-  // shares one plan and the byte account never double-charges.
-  EXPECT_EQ(second.get(), first.get());
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(cache.bytes_in_use(), one_plan());
+  EXPECT_EQ(cache.peek(base).get(), a.get());
 }
 
 TEST(PlanCache, EvictsLeastRecentlyUsedFirst) {
   SchedulePlanCache cache(3 * one_plan());
-  (void)cache.insert(fake_plan(sig_of(0)));
-  (void)cache.insert(fake_plan(sig_of(1)));
-  (void)cache.insert(fake_plan(sig_of(2)));
+  (void)get_plan(cache, 0);
+  (void)get_plan(cache, 1);
+  (void)get_plan(cache, 2);
   EXPECT_EQ(cache.entries(), 3u);
   EXPECT_EQ(cache.evictions(), 0u);
 
   // Touch bucket 0 so bucket 1 becomes the LRU victim.
-  ASSERT_NE(cache.find(sig_of(0)), nullptr);
-  (void)cache.insert(fake_plan(sig_of(8)));
+  (void)get_plan(cache, 0);
+  (void)get_plan(cache, 8);
   EXPECT_EQ(cache.entries(), 3u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_NE(cache.find(sig_of(0)), nullptr);
-  EXPECT_NE(cache.find(sig_of(2)), nullptr);
-  EXPECT_NE(cache.find(sig_of(8)), nullptr);
-  EXPECT_EQ(cache.find(sig_of(1)), nullptr);  // evicted
+  EXPECT_NE(cache.peek(sig_of(0)), nullptr);
+  EXPECT_NE(cache.peek(sig_of(2)), nullptr);
+  EXPECT_NE(cache.peek(sig_of(8)), nullptr);
+  EXPECT_EQ(cache.peek(sig_of(1)), nullptr);  // evicted
 }
 
 TEST(PlanCache, HoldersSurviveEviction) {
   SchedulePlanCache cache(one_plan());
-  const PlanPtr held = cache.insert(fake_plan(sig_of(40)));
-  (void)cache.insert(fake_plan(sig_of(41)));  // evicts bucket 40
+  const PlanPtr held = get_plan(cache, 40);
+  (void)get_plan(cache, 41);  // evicts bucket 40
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(held->signature.size_bucket, 40u);
@@ -117,7 +109,7 @@ TEST(PlanCache, HoldersSurviveEviction) {
 
 TEST(PlanCache, TinyCapacityStillServes) {
   SchedulePlanCache cache(1);  // smaller than any plan
-  const PlanPtr p = cache.insert(fake_plan(sig_of(60)));
+  const PlanPtr p = get_plan(cache, 60);
   // The fresh entry is its own eviction victim; the caller still gets it.
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->signature.size_bucket, 60u);
@@ -170,7 +162,7 @@ TEST(PlanCache, ConcurrentGetsShareOneObjectPerSignature) {
   for (int t = 0; t < kThreads; ++t) ASSERT_NE(last[t], nullptr);
   // Whatever is resident now is the shared object for its signature.
   for (std::uint32_t b = 0; b < kSignatures; ++b) {
-    if (const PlanPtr p = cache.find(sig_of(b))) {
+    if (const PlanPtr p = cache.peek(sig_of(b))) {
       EXPECT_EQ(p->signature, sig_of(b));
     }
   }
@@ -183,18 +175,19 @@ TEST(PlanCache, PeekCountsHitsButNeverMisses) {
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 0u);
 
-  const PlanPtr resident = cache.insert(fake_plan(sig_of(70)));
+  const PlanPtr resident = get_plan(cache, 70);
+  EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.peek(sig_of(70)).get(), resident.get());
   EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(cache.misses(), 1u);
 
-  // peek promotes like find: under a 2-plan bound, peeking bucket 70
+  // peek promotes like a hit: under a 2-plan bound, peeking bucket 70
   // makes bucket 71 the LRU victim.
   SchedulePlanCache lru(2 * one_plan());
-  (void)lru.insert(fake_plan(sig_of(70)));
-  (void)lru.insert(fake_plan(sig_of(71)));
+  (void)get_plan(lru, 70);
+  (void)get_plan(lru, 71);
   ASSERT_NE(lru.peek(sig_of(70)), nullptr);
-  (void)lru.insert(fake_plan(sig_of(72)));
+  (void)get_plan(lru, 72);
   EXPECT_NE(lru.peek(sig_of(70)), nullptr);
   EXPECT_EQ(lru.peek(sig_of(71)), nullptr);  // evicted
 }
@@ -238,7 +231,6 @@ TEST(PlanCache, LatchBuildsOnceAndWaitersShareTheResult) {
 
   EXPECT_EQ(builds.load(), 1);
   EXPECT_EQ(second.get(), first.get());
-  EXPECT_TRUE(gs.waited);
   EXPECT_FALSE(gs.hit);
   EXPECT_EQ(cache.build_waits(), 1u);
   EXPECT_EQ(cache.misses(), 2u);  // both requests missed; one build

@@ -221,66 +221,53 @@ TEST(Replay, ParseRequestLogIsStrict) {
 
 TEST(Replay, EmptyLogIsRefused) {
   PlanService svc(testbed(), "g5k");
-  ThreadPool pool(0);
-  EXPECT_THROW((void)replay_requests(svc, {}, pool), InvalidInput);
+  EXPECT_THROW((void)replay_requests(svc, {}), InvalidInput);
 }
 
-TEST(Replay, ReportIsByteIdenticalAcrossThreadsSessionsAndWarmth) {
+TEST(Replay, ReportIsByteIdenticalAcrossSessionsAndWarmth) {
   // The headline determinism pin: the default (no --timing) serve report
-  // over the checked-in CI log is one byte string, whatever worker count
-  // runs the builds, however many concurrent sessions hammer the live
-  // caches, and however warm the live cache already is.
+  // over the checked-in CI log is one byte string, however many
+  // concurrent sessions hammer the live caches, and however warm the live
+  // cache already is.
   const std::vector<ReplayRequest> requests = checked_in_log();
   ASSERT_FALSE(requests.empty());
-  const auto run = [&](std::size_t workers, std::size_t sessions, bool warm) {
+  const auto run = [&](std::size_t sessions, bool warm) {
     PlanService svc(testbed(), "g5k");
-    ThreadPool pool(workers);
-    if (warm) (void)warm_requests(svc, requests, pool);
+    if (warm) (void)warm_requests(svc, requests);
     ReplayOptions opts;
     opts.sessions = sessions;
-    return io::bench_to_json(replay_requests(svc, requests, pool, opts));
+    return io::bench_to_json(replay_requests(svc, requests, opts));
   };
-  const std::string reference = run(0, 1, false);
-  EXPECT_EQ(run(4, 1, false), reference);
-  EXPECT_EQ(run(4, 8, false), reference);  // 8 concurrent live sessions
-  EXPECT_EQ(run(4, 8, true), reference);   // ... over a pre-warmed cache
-  EXPECT_EQ(run(1, 2, true), reference);
+  const std::string reference = run(1, false);
+  EXPECT_EQ(run(1, false), reference);
+  EXPECT_EQ(run(8, false), reference);  // 8 concurrent live sessions
+  EXPECT_EQ(run(8, true), reference);   // ... over a pre-warmed cache
+  EXPECT_EQ(run(2, true), reference);
 }
 
-TEST(Replay, BatchScopesOnlyBuildWaits) {
-  // `build_waits` is defined over the batch window (a same-batch repeat
-  // of a newly-scheduled build would have waited on its latch), so batch
-  // boundaries may move it — and nothing else.  A batch of one means
-  // nobody could ever wait.
-  const std::vector<ReplayRequest> requests = checked_in_log();
-  const auto run = [&](std::size_t batch) {
-    PlanService svc(testbed(), "g5k");
-    ThreadPool pool(2);
-    ReplayOptions opts;
-    opts.batch = batch;
-    return replay_requests(svc, requests, pool, opts);
-  };
-  const io::BenchReport wide = run(64);
-  const io::BenchReport narrow = run(7);
-  const io::BenchReport serial = run(1);
-  for (const char* name :
-       {"hit_rate", "hits", "misses", "plans_built", "evictions",
-        "predicted_sum_s"}) {
-    const auto* w = wide.find_series(name);
-    const auto* n = narrow.find_series(name);
-    const auto* s = serial.find_series(name);
-    ASSERT_NE(w, nullptr) << name;
-    ASSERT_NE(n, nullptr) << name;
-    ASSERT_NE(s, nullptr) << name;
-    EXPECT_EQ(w->makespan_s[0], n->makespan_s[0]) << name;
-    EXPECT_EQ(w->makespan_s[0], s->makespan_s[0]) << name;
-  }
-  const auto* waits = serial.find_series("build_waits");
-  ASSERT_NE(waits, nullptr);
-  EXPECT_EQ(waits->makespan_s[0], 0.0);
-  const auto* wide_waits = wide.find_series("build_waits");
-  ASSERT_NE(wide_waits, nullptr);
-  EXPECT_GT(wide_waits->makespan_s[0], 0.0);  // the CI log has repeats
+/// One exact series of `report`.
+double cell(const io::BenchReport& report, const std::string& name) {
+  const io::BenchSeries* s = report.find_series(name);
+  EXPECT_NE(s, nullptr) << name;
+  return s == nullptr ? std::nan("") : s->makespan_s.at(0);
+}
+
+TEST(Replay, BuildWaitsCountRepeatsInsideTheirFirstRequestsWindow) {
+  // A window of one signature's requests, then that signature once and a
+  // second signature twice: the first window's 63 repeats would each
+  // have waited on the first requester's build, the second window's
+  // first request finds the plan built an earlier window, and its
+  // second signature's repeat waits once more.
+  std::vector<ReplayRequest> requests(
+      kBuildWaitWindow, ReplayRequest{collective::Verb::kBcast, 0, MiB(1)});
+  requests.push_back(requests.front());
+  requests.push_back(ReplayRequest{collective::Verb::kScatter, 1, KiB(64)});
+  requests.push_back(requests.back());
+  PlanService svc(testbed(), "g5k");
+  const io::BenchReport report = replay_requests(svc, requests);
+  EXPECT_EQ(cell(report, "build_waits"), 63.0 + 1.0);
+  EXPECT_EQ(cell(report, "plans_built"), 2.0);
+  EXPECT_EQ(cell(report, "hits"), static_cast<double>(requests.size() - 2));
 }
 
 TEST(Replay, LiveStatsEqualTheReportSeries) {
@@ -299,9 +286,7 @@ TEST(Replay, LiveStatsEqualTheReportSeries) {
       (void)svc.handle_line(line);
     const std::string stats = svc.stats_line();
 
-    ThreadPool pool(0);
-    const io::BenchReport report = replay_requests(
-        svc, checked_in_log(), pool, ReplayOptions{.batch = 1});
+    const io::BenchReport report = replay_requests(svc, checked_in_log());
     for (const std::string name :
          {"hits", "misses", "evictions"}) {
       const auto* series = report.find_series(name);
@@ -318,10 +303,21 @@ TEST(Replay, LiveStatsEqualTheReportSeries) {
 TEST(Replay, WarmRequestsPrimesTheLiveCache) {
   const std::vector<ReplayRequest> requests = checked_in_log();
   PlanService svc(testbed(), "g5k");
-  ThreadPool pool(2);
-  const std::size_t built = warm_requests(svc, requests, pool);
+  const std::size_t built = warm_requests(svc, requests);
   EXPECT_GT(built, 0u);
-  // Warming is idempotent: a second pass finds everything resident.
+  // Warming is ordinary traffic: `stats` counts every warm request as a
+  // hit or a miss, and each miss built one plan.
+  const std::string stats = svc.stats_line();
+  EXPECT_NE(stats.find(" misses=" + std::to_string(built) + ' '),
+            std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find(" hits=" + std::to_string(requests.size() - built) +
+                       ' '),
+            std::string::npos)
+      << stats;
+  // Warming is idempotent: a second pass finds everything resident (here
+  // through the overload that still takes a pool).
+  ThreadPool pool(0);
   EXPECT_EQ(warm_requests(svc, requests, pool), 0u);
   // Every logged request is now answered from residency on the live path.
   for (const auto& rq : requests)
@@ -360,8 +356,7 @@ TEST(PlanService, HitCompletesWhileMissBuilds) {
 TEST(Replay, ReportRoundTripsAndSelfCompares) {
   const std::vector<ReplayRequest> requests = checked_in_log();
   PlanService svc(testbed(), "grid5000_testbed");
-  ThreadPool pool(2);
-  const io::BenchReport report = replay_requests(svc, requests, pool);
+  const io::BenchReport report = replay_requests(svc, requests);
 
   EXPECT_EQ(report.bench, "serve");
   ASSERT_EQ(report.sizes.size(), 1u);
@@ -389,10 +384,9 @@ TEST(Replay, ReportRoundTripsAndSelfCompares) {
 TEST(Replay, TimingSeriesRideAlongWithoutDisturbingTheRest) {
   const std::vector<ReplayRequest> requests = checked_in_log();
   PlanService svc(testbed(), "g5k");
-  ThreadPool pool(2);
   ReplayOptions opts;
   opts.timing = true;
-  const io::BenchReport report = replay_requests(svc, requests, pool, opts);
+  const io::BenchReport report = replay_requests(svc, requests, opts);
 
   const auto* rps = report.find_series("requests_per_s");
   ASSERT_NE(rps, nullptr);

@@ -20,7 +20,7 @@ struct Toy {
 enum ToyMode : unsigned { kCopy, kList, kRun };
 
 constexpr flags::Mode kModes[] = {
-    {"copy", "--copy", true}, {"list", "--list"}, {"run", ""}};
+    {"copy", "--copy", "FROM TO"}, {"list", "--list"}, {"run", ""}};
 
 constexpr flags::Flag<Toy> kFlags[] = {
     {"--name", "NAME", 0b111, "a name every mode reads",
@@ -98,7 +98,12 @@ TEST(Flags, HelpListsEveryRowOnceWithItsModes) {
   };
   for (const flags::Flag<Toy>& f : kFlags)
     EXPECT_EQ(count(std::string(f.help)), 1u) << f.name;
-  EXPECT_EQ(text.rfind("usage: toy [--FLAG[=VALUE]]...\n", 0), 0u) << text;
+  // One usage line per mode that takes positionals, naming them.
+  EXPECT_EQ(text.rfind("usage: toy [--FLAG[=VALUE]]...\n"
+                       "       toy --copy [--FLAG[=VALUE]]... FROM TO\n",
+                       0),
+            0u)
+      << text;
   EXPECT_EQ(count("else run.\n"), 1u);
   EXPECT_EQ(count("  --name=NAME  a name every mode reads [copy,list,run]\n"),
             1u);

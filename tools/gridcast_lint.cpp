@@ -491,11 +491,11 @@ struct LintCli {
 enum Mode : unsigned { kList, kLint };
 
 constexpr flags::Mode kModes[] = {{"list", "--list-rules"},
-                                  {"lint", "", true}};
+                                  {"lint", "", "[PATH...]"}};
 
 constexpr flags::Flag<LintCli> kFlags[] = {
     {"--root", "DIR", 1U << kLint,
-     "lint PATHS (default: src tools) relative to DIR (default: .)",
+     "lint each PATH (default: src tools) under DIR (default: .)",
      [](auto& c, auto& v) { c.root = v; }},
     {"--list-rules", "", 1U << kList, "print each rule, its scope and why",
      [](auto&, auto&) {}},

@@ -15,7 +15,6 @@
 #include "support/error.hpp"
 #include "support/flags.hpp"
 #include "support/parse.hpp"
-#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -40,7 +39,6 @@ void install_stop_handlers() {
 struct ServeCli {
   std::string grid_arg = "grid5000";
   serve::ServeOptions service;
-  std::size_t threads = 0;
   serve::ReplayOptions replay;
   std::string warm_path;
   std::string requests_path;
@@ -73,12 +71,8 @@ constexpr flags::Flag<ServeCli> kFlags[] = {
      [](auto& c, auto& v) { c.service.plan_capacity = parse_size(v); }},
     {"--instance-capacity", "BYTES", kAll, "instance-cache byte bound (none)",
      [](auto& c, auto& v) { c.service.instance_capacity = parse_size(v); }},
-    {"--warm", "FILE", kAll, "first build the plans a request log needs",
+    {"--warm", "FILE", kAll, "first serve the plan requests of a log",
      [](auto& c, auto& v) { c.warm_path = v; }},
-    {"--threads", "N", kAll, "build workers of a report or --warm (0 = inline)",
-     [](auto& c, auto& v) {
-       c.threads = parse_count<std::size_t>(v, "--threads");
-     }},
     {"--port", "N", in(kPort), "answer plan/stats/quit lines on loopback TCP",
      [](auto& c, auto& v) {
        c.port = parse_count<std::uint16_t>(v, "--port");
@@ -137,22 +131,15 @@ int run_tcp(int port, serve::PlanService& service) {
 
 int serve_main(const std::vector<std::string>& args) {
   ServeCli cli;
-  const flags::Parsed parsed = flags::parse(kTool, args, cli);
-  const auto mode = static_cast<Mode>(parsed.mode);
+  const auto mode = static_cast<Mode>(flags::parse(kTool, args, cli).mode);
   if (mode == kReport && cli.requests_path.empty())
     throw InvalidInput("--replay-report needs --requests=FILE");
-  // A mode row cannot say that --warm reads --threads in every mode.
-  if (parsed.has("--threads") && mode != kReport && !parsed.has("--warm"))
-    throw InvalidInput(std::string("option '--threads' does not apply to ")
-                           .append(kModes[mode].name) +
-                       " mode without --warm");
   std::string grid_name;
   const topology::Grid grid = exp::load_grid(cli.grid_arg, grid_name);
   serve::PlanService service(grid, grid_name, cli.service);
-  ThreadPool pool(cli.threads);
   if (!cli.warm_path.empty()) {
     std::ifstream log = open_log(cli.warm_path);
-    (void)serve::warm_requests(service, serve::parse_request_log(log), pool);
+    (void)serve::warm_requests(service, serve::parse_request_log(log));
   }
   switch (mode) {
     case kPort:
@@ -160,8 +147,7 @@ int serve_main(const std::vector<std::string>& args) {
     case kReport: {
       std::ifstream log = open_log(cli.requests_path);
       exp::write_report(serve::replay_requests(
-                            service, serve::parse_request_log(log), pool,
-                            cli.replay),
+                            service, serve::parse_request_log(log), cli.replay),
                         cli.out_path, std::cout);
       return 0;
     }
